@@ -4,7 +4,10 @@
 // futures; a bounded worker pool per engine drains the submission queues.
 // The engine integrates the tierlock concurrency control: when a lock
 // manager is supplied, each operation holds the node-level exclusive lock
-// for its tier while the device transfer is in flight.
+// for its tier while the device transfer is in flight — and only then: on
+// a codec tier (storage.SplitTier) the encode runs before the lock is
+// taken and the decode after it is released, so one worker's codec CPU
+// overlaps another's transfer.
 //
 // One engine object is created per storage path per worker process, as in
 // the paper ("we instantiate multiple offloading engine objects per
@@ -53,6 +56,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/datastates/mlpoffload/internal/bufpool"
 	"github.com/datastates/mlpoffload/internal/clock"
 	"github.com/datastates/mlpoffload/internal/storage"
 	"github.com/datastates/mlpoffload/internal/tierlock"
@@ -140,6 +144,7 @@ type Op struct {
 	done     chan struct{}
 	err      error
 	wire     int64
+	codec    time.Duration
 	queuedAt time.Time
 	started  time.Time
 	finished time.Time
@@ -184,12 +189,18 @@ func (o *Op) Err() error { return o.err }
 func (o *Op) QueueTime() time.Duration { return o.started.Sub(o.queuedAt) }
 
 // TransferTime returns how long the device transfer took (including the
-// exclusive-lock wait when concurrency control is active).
-func (o *Op) TransferTime() time.Duration { return o.finished.Sub(o.started) }
+// exclusive-lock wait when concurrency control is active). On a codec
+// tier it excludes CodecTime, so with WireBytes it measures the device.
+func (o *Op) TransferTime() time.Duration { return o.finished.Sub(o.started) - o.codec }
+
+// CodecTime returns how long the op spent encoding or decoding on a
+// codec tier, outside the tier lock; zero on plain tiers.
+func (o *Op) CodecTime() time.Duration { return o.codec }
 
 // Engine is an asynchronous I/O engine bound to one storage tier.
 type Engine struct {
 	tier  storage.Tier
+	split storage.SplitTier // tier's codec halves, nil for a plain tier
 	locks *tierlock.Manager
 	clk   clock.Clock
 
@@ -286,6 +297,7 @@ func New(tier storage.Tier, cfg Config) *Engine {
 		ctx:    ctx,
 		cancel: cancel,
 	}
+	e.split, _ = tier.(storage.SplitTier)
 	e.cond = sync.NewCond(&e.mu)
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
@@ -370,20 +382,20 @@ func (e *Engine) execute(t *task) {
 	}()
 	op := t.op
 	op.started = e.clk.Now()
+	if e.split != nil && op.Kind != Delete {
+		wire, err := e.executeSplit(t)
+		e.finish(op, wire, err)
+		return
+	}
 
-	var rel tierlock.Release
-	if e.locks != nil {
-		var err error
-		rel, err = e.locks.Acquire(e.ctx, e.tier.Name())
-		if err != nil {
-			e.finish(op, 0, fmt.Errorf("aio: %s %s: lock: %w", op.Kind, op.Key, err))
-			return
-		}
+	rel, err := e.lock(op)
+	if err != nil {
+		e.finish(op, 0, err)
+		return
 	}
 	// A codec decorator records the encoded (device-level) size of the
 	// transfer into the wire-count cell; plain tiers leave it at zero and
 	// the op's raw size stands in.
-	var err error
 	var wc *storage.WireCount
 	ctx := e.ctx
 	switch op.Kind {
@@ -400,9 +412,7 @@ func (e *Engine) execute(t *task) {
 	case Delete:
 		err = e.tier.Delete(ctx, op.Key)
 	}
-	if rel != nil {
-		rel()
-	}
+	rel()
 	wire := int64(op.Bytes)
 	if wc != nil {
 		if w := wc.Bytes(); w > 0 {
@@ -412,11 +422,78 @@ func (e *Engine) execute(t *task) {
 	e.finish(op, wire, err)
 }
 
+// lock takes the tier's node-level exclusive lock when concurrency
+// control is active; the returned release is never nil.
+func (e *Engine) lock(op *Op) (tierlock.Release, error) {
+	if e.locks == nil {
+		return func() {}, nil
+	}
+	rel, err := e.locks.Acquire(e.ctx, e.tier.Name())
+	if err != nil {
+		return nil, fmt.Errorf("aio: %s %s: lock: %w", op.Kind, op.Key, err)
+	}
+	return rel, nil
+}
+
+// executeSplit runs a read or write against a codec tier with the codec's
+// CPU outside the tier lock: a write encodes, then takes the lock for the
+// inner write of the encoded object; a read — each member of a vectored
+// one — takes the lock for the inner whole-object read, releases it, and
+// only then decodes. It returns the encoded bytes the device moved.
+func (e *Engine) executeSplit(t *task) (int64, error) {
+	op := t.op
+	if op.Kind == Write {
+		t0 := e.clk.Now()
+		enc := e.split.Encode(t.buf)
+		defer bufpool.Put(enc)
+		op.codec = e.clk.Since(t0)
+		rel, err := e.lock(op)
+		if err != nil {
+			return 0, err
+		}
+		ctx, wc := storage.WithWireCount(e.ctx)
+		err = e.split.WriteEncoded(ctx, op.Key, enc)
+		rel()
+		return wc.Bytes(), err
+	}
+	if t.keys == nil {
+		return e.readSplit(op, op.Key, t.buf)
+	}
+	var wire int64
+	for i, key := range t.keys {
+		w, err := e.readSplit(op, key, t.bufs[i])
+		wire += w
+		if err != nil {
+			return wire, err
+		}
+	}
+	return wire, nil
+}
+
+// readSplit reads and decodes one object of a codec tier into dst.
+func (e *Engine) readSplit(op *Op, key string, dst []byte) (int64, error) {
+	rel, err := e.lock(op)
+	if err != nil {
+		return 0, err
+	}
+	ctx, wc := storage.WithWireCount(e.ctx)
+	enc, err := e.split.ReadEncoded(ctx, key)
+	rel()
+	if err != nil {
+		return 0, err
+	}
+	defer bufpool.Put(enc)
+	t0 := e.clk.Now()
+	err = e.split.Decode(key, enc, dst)
+	op.codec += e.clk.Since(t0)
+	return wc.Bytes(), err
+}
+
 func (e *Engine) finish(op *Op, wire int64, err error) {
 	op.finished = e.clk.Now()
 	op.err = err
 	op.wire = wire
-	d := op.finished.Sub(op.started).Nanoseconds()
+	d := op.TransferTime().Nanoseconds()
 	cell := &e.perClass[op.Class()]
 	cell.queueNS.Add(op.started.Sub(op.queuedAt).Nanoseconds())
 	if err == nil {

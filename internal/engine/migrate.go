@@ -329,8 +329,8 @@ func (e *Engine) copyState(sg, from, to int) error {
 	// codec-inflated effective rate.
 	e.est.ObserveRead(e.names[from], float64(rop.WireBytes()), rop.TransferTime().Seconds())
 	e.est.ObserveWrite(e.names[to], float64(wop.WireBytes()), wop.TransferTime().Seconds())
-	e.recordAsyncOp(rop, float64(size))
-	e.recordAsyncOp(wop, float64(size))
+	e.recordAsyncOp(rop)
+	e.recordAsyncOp(wop)
 	return nil
 }
 

@@ -235,7 +235,9 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 			rop, err := e.aios[tier].SubmitReadClass(aio.Checkpoint, l.Key, buf)
 			if err == nil {
 				// Corrupt-retry, as everywhere the engine reads state.
-				_, err = e.awaitRead(tier, rop, l.Key, buf)
+				if rop, err = e.awaitRead(tier, rop, l.Key, buf); err == nil {
+					e.recordAsyncOp(rop)
+				}
 			}
 			if err != nil {
 				bufpool.Put(buf)
@@ -255,7 +257,9 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 			go func(op *aio.Op, buf []byte) { _ = op.Wait(); bufpool.Put(buf); <-sem }(wop, buf)
 		}
 		for _, op := range writes {
-			if err := op.Wait(); err != nil && snapErr == nil {
+			if err := op.Wait(); err == nil {
+				e.recordAsyncOp(op)
+			} else if snapErr == nil {
 				snapErr = fmt.Errorf("engine: checkpoint snapshot write: %w", err)
 			}
 		}
@@ -312,11 +316,13 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 			return nil, s.err
 		}
 		if s.op != nil {
-			if _, err := e.awaitRead(s.tier, s.op, e.key(s.sg), s.buf); err != nil {
+			op, err := e.awaitRead(s.tier, s.op, e.key(s.sg), s.buf)
+			if err != nil {
 				bufpool.Put(s.buf)
 				<-sem // the writer never sees this buffer
 				return nil, err
 			}
+			e.recordAsyncOp(op)
 		}
 		return s.buf, nil
 	}

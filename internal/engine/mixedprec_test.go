@@ -160,6 +160,23 @@ func TestCheckpointPreStaging(t *testing.T) {
 	}); err != nil {
 		t.Errorf("manifest verify: %v", err)
 	}
+
+	// The checkpoint's own tier reads show up as checkpoint-class traffic
+	// in the next iteration's per-class breakdown, beside fetch and flush:
+	// one read per flushed subgroup that lived on a tier.
+	offloaded := 0
+	for _, l := range plan.ToFlush {
+		if l.Key != "" {
+			offloaded++
+		}
+	}
+	it, err := e.TrainIteration(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := it.ClassIO["checkpoint"]; offloaded == 0 || int(c.Ops) != offloaded || c.Bytes <= 0 || c.WireBytes != c.Bytes {
+		t.Errorf("checkpoint class after a checkpoint: %+v, want %d ops", c, offloaded)
+	}
 }
 
 func TestFetchSubgroupBytesMatchesState(t *testing.T) {

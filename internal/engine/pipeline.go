@@ -215,9 +215,10 @@ func (e *Engine) updatePhase(it *metrics.Iteration) error {
 }
 
 // recordAsyncOp folds one completed asynchronous op (eviction flush,
-// migration copy) into the per-class accumulator the next update-phase
-// fold publishes to metrics.Iteration.ClassIO.
-func (e *Engine) recordAsyncOp(op *aio.Op, bytes float64) {
+// migration copy, checkpoint staging read or snapshot copy) into the
+// per-class accumulator the next update-phase fold publishes to
+// metrics.Iteration.ClassIO.
+func (e *Engine) recordAsyncOp(op *aio.Op) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.asyncFlushStats.class == nil {
@@ -226,7 +227,7 @@ func (e *Engine) recordAsyncOp(op *aio.Op, bytes float64) {
 	k := op.Class().String()
 	c := e.asyncFlushStats.class[k]
 	c.Ops++
-	c.Bytes += bytes
+	c.Bytes += float64(op.Bytes)
 	c.WireBytes += float64(op.WireBytes())
 	c.QueueDelay += op.QueueTime().Seconds()
 	c.Transfer += op.TransferTime().Seconds()
@@ -834,7 +835,7 @@ func (e *Engine) flushEvicted(v int, tk *flushTicket, stale int) error {
 		secs := op.TransferTime().Seconds()
 		// Device bandwidth observes wire bytes (see processItem).
 		e.est.ObserveWrite(name, float64(op.WireBytes()), secs)
-		e.recordAsyncOp(op, nb)
+		e.recordAsyncOp(op)
 		e.mu.Lock()
 		e.asyncFlushStats.bytes += nb
 		e.asyncFlushStats.wire += float64(op.WireBytes())

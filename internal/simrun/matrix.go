@@ -145,8 +145,13 @@ func codecApproach(ap Approach, cal cluster.Calibration) Approach {
 		ap.CodecEncBW = cal.CodecEncBW
 		ap.CodecDecBW = cal.CodecDecBW
 	} else {
-		// PR 4's byte-plane-transpose + DEFLATE on optimizer state:
-		// ~1.5x ratio; bulk multi-core transform throughput.
+		// UNMEASURED placeholders (a ~1.5x ratio at bulk multi-core
+		// transform rates), kept because the uncalibrated matrix cells
+		// and their tests are pinned to them. What bench/e2e measures on
+		// the 2-vCPU reference box, one core, 8 MB FP32 state objects:
+		// ratio 1.22, encode 0.8e9 B/s, decode 1.0e9 B/s (the DEFLATE
+		// writer this replaced: 1.21, 0.17e9, 0.32e9). Calibrate from an
+		// iobench-codec report (CalibrationFromBench) for real numbers.
 		ap.CodecRatio = 1.5
 		ap.CodecEncBW = 2e9
 		ap.CodecDecBW = 3e9

@@ -91,3 +91,19 @@ func ReadWholeObject(ctx context.Context, t Tier, key string) ([]byte, error) {
 	}
 	return buf, nil
 }
+
+// SplitTier is an optional Tier capability for a decorator whose Read
+// and Write are a CPU transform around one whole-object transfer on the
+// tier beneath it (a codec). It exposes the two halves so a scheduler
+// can run the CPU half outside whatever serialises access to the device
+// — the aio engine holds the node-level tier lock for WriteEncoded and
+// ReadEncoded only. Write(key, src) is WriteEncoded(key, Encode(src));
+// Read(key, dst) is Decode(key, ReadEncoded(key), dst). Both encoded
+// buffers are caller-owned pooled memory (bufpool.Put when done), and
+// their format is the implementer's alone.
+type SplitTier interface {
+	Encode(src []byte) []byte
+	WriteEncoded(ctx context.Context, key string, enc []byte) error
+	ReadEncoded(ctx context.Context, key string) ([]byte, error)
+	Decode(key string, enc, dst []byte) error
+}

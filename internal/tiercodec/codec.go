@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"github.com/datastates/mlpoffload/internal/bufpool"
 )
 
 // Codec identifiers recorded in the object header. Decoding is driven by
@@ -17,8 +19,12 @@ const (
 	// an incompressible object is demoted to by the bypass.
 	CodecRaw uint8 = 0
 	// CodecFlate stores the payload byte-plane transposed and
-	// DEFLATE-compressed.
+	// DEFLATE-compressed as a whole. Read-only: no writer produces it any
+	// more, the reader stays so earlier checkpoints keep restoring.
 	CodecFlate uint8 = 1
+	// CodecPlanes stores the payload split into byte planes, each raw or
+	// entropy-coded on its own (planes.go). What "flate" specs write.
+	CodecPlanes uint8 = 2
 )
 
 // codecName renders a codec id for errors and manifests.
@@ -28,31 +34,16 @@ func codecName(id uint8) string {
 		return "raw"
 	case CodecFlate:
 		return "flate"
+	case CodecPlanes:
+		return "planes"
 	default:
 		return fmt.Sprintf("codec(%d)", id)
 	}
 }
 
-// transpose rewrites src into dst grouped by byte plane: with stride k,
-// all byte-0s of the k-byte elements first, then all byte-1s, and so on;
-// the tail (len % k bytes) is appended verbatim. FP32 optimizer state is
-// a stream of little-endian 4-byte floats whose high (sign/exponent)
-// bytes are strongly clustered while low mantissa bytes are near-random
-// — transposing turns that into long runs DEFLATE actually compresses,
-// where the interleaved original is close to incompressible. Stride 2
-// does the same for FP16 payloads.
-func transpose(dst, src []byte, stride int) {
-	n := len(src) / stride
-	for p := 0; p < stride; p++ {
-		plane := dst[p*n : (p+1)*n]
-		for i := 0; i < n; i++ {
-			plane[i] = src[i*stride+p]
-		}
-	}
-	copy(dst[n*stride:], src[n*stride:])
-}
-
-// untranspose inverts transpose.
+// untranspose inverts the id-1 writer's whole-object byte-plane
+// transpose: src holds all byte-0s of the stride-byte elements, then all
+// byte-1s, and so on, then the len%stride tail verbatim.
 func untranspose(dst, src []byte, stride int) {
 	n := len(src) / stride
 	for p := 0; p < stride; p++ {
@@ -64,79 +55,41 @@ func untranspose(dst, src []byte, stride int) {
 	copy(dst[n*stride:], src[n*stride:])
 }
 
-// scratch pools the transpose and compression staging buffers; objects
-// are multi-megabyte subgroups, so per-op allocation would dominate.
-var scratch = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
-
-func getScratch(n int) *[]byte {
-	bp := scratch.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return bp
+// inflater is a pooled DEFLATE decompressor: flate.NewReader allocates
+// tens of KB of window and tables per call, Reset reuses them.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
 }
 
-func putScratch(bp *[]byte) { scratch.Put(bp) }
+var inflaters = sync.Pool{New: func() any {
+	z := new(inflater)
+	z.fr = flate.NewReader(&z.src)
+	return z
+}}
 
-// flateWriters pools DEFLATE compressors per level (Reset reuses the
-// internal match tables, the expensive part of flate.NewWriter).
-var flateWriters [10]sync.Pool
-
-func getFlateWriter(level int, w io.Writer) *flate.Writer {
-	if fw, _ := flateWriters[level].Get().(*flate.Writer); fw != nil {
-		fw.Reset(w)
-		return fw
-	}
-	fw, _ := flate.NewWriter(w, level) // level validated by Spec
-	return fw
-}
-
-func putFlateWriter(level int, fw *flate.Writer) { flateWriters[level].Put(fw) }
-
-// encodeFlate appends the transposed, DEFLATE-compressed form of src to
-// dst and returns the extended slice, or ok=false when the result would
-// not be smaller than src (the incompressible bypass: the caller then
-// stores the payload raw, so a pathological object never grows and
-// never pays decompression on the read path).
-func encodeFlate(dst, src []byte, level, stride int) (out []byte, ok bool) {
-	tp := getScratch(len(src))
-	defer putScratch(tp)
-	transpose(*tp, src, stride)
-
-	base := len(dst)
-	buf := bytes.NewBuffer(dst)
-	fw := getFlateWriter(level, buf)
-	_, werr := fw.Write(*tp)
-	cerr := fw.Close()
-	putFlateWriter(level, fw)
-	if werr != nil || cerr != nil {
-		return dst, false // bytes.Buffer cannot fail; defensive bypass
-	}
-	if buf.Len()-base >= len(src) {
-		return dst, false
-	}
-	return buf.Bytes(), true
-}
-
-// decodeFlate decompresses and untransposes payload into dst, which must
-// have the exact raw length recorded in the object header.
+// decodeFlate decompresses and untransposes an id-1 payload into dst,
+// which must have the exact raw length recorded in the object header.
 func decodeFlate(dst, payload []byte, stride int) error {
-	tp := getScratch(len(dst))
-	defer putScratch(tp)
-	fr := flate.NewReader(bytes.NewReader(payload))
-	n, err := io.ReadFull(fr, *tp)
+	tp := bufpool.Get(len(dst))
+	defer bufpool.Put(tp)
+	z := inflaters.Get().(*inflater)
+	defer inflaters.Put(z)
+	z.src.Reset(payload)
+	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return fmt.Errorf("%w: flate stream: %v", ErrCorrupt, err)
+	}
+	n, err := io.ReadFull(z.fr, tp)
 	if err != nil {
 		return fmt.Errorf("%w: flate payload truncated at %d/%d bytes: %v", ErrCorrupt, n, len(dst), err)
 	}
 	// The stream must end exactly at rawLen.
 	var one [1]byte
-	if m, _ := fr.Read(one[:]); m != 0 {
+	if m, err := z.fr.Read(one[:]); m != 0 {
 		return fmt.Errorf("%w: flate payload longer than raw length %d", ErrCorrupt, len(dst))
-	}
-	if err := fr.Close(); err != nil {
+	} else if err != nil && err != io.EOF {
 		return fmt.Errorf("%w: flate stream: %v", ErrCorrupt, err)
 	}
-	untranspose(dst, *tp, stride)
+	untranspose(dst, tp, stride)
 	return nil
 }

@@ -10,29 +10,41 @@
 // # Object format
 //
 // Every encoded object is self-describing: a fixed 20-byte header
-// (magic, format version, codec id, flags, transpose stride, raw length,
+// (magic, format version, codec id, flags, plane stride, raw length,
 // CRC32-C) followed by the encoded payload. Decoding is driven entirely
-// by the header — a codec tier configured for flate reads raw-coded
-// objects and vice versa — which is what keeps checkpoints restorable
-// bit-identically across codec reconfigurations: only the *presence* of
-// the middleware matters, never which codec wrote an object.
+// by the header — a codec tier configured either way reads raw, plane-
+// split and the earlier whole-object DEFLATE objects alike — which is
+// what keeps checkpoints restorable bit-identically across codec
+// reconfigurations and versions: only the *presence* of the middleware
+// matters, never which codec wrote an object.
 //
 //	offset size field
 //	0      4    magic "MTC1"
 //	4      1    format version (1)
-//	5      1    codec id (0 = raw, 1 = flate)
+//	5      1    codec id (0 = raw, 1 = flate [read-only], 2 = planes)
 //	6      1    flags (bit 0: payload has CRC32-C)
-//	7      1    transpose stride (0/1 = none; 4 for FP32, 2 for FP16)
+//	7      1    plane stride (0/1 = none; 4 for FP32, 2 for FP16)
 //	8      8    raw (decoded) object length, little-endian
 //	16     4    CRC32-C over header[0:16] + payload, little-endian
 //
 // # Compression
 //
-// CodecFlate byte-plane transposes the payload (grouping the clustered
-// sign/exponent bytes of FP32/FP16 streams into runs) and DEFLATE-
-// compresses it. An object the codec cannot shrink is stored raw
+// A "flate" spec writes plane-split objects (codec id 2, planes.go): the
+// payload is split into its stride byte planes, and each plane is stored
+// raw or order-0 entropy-coded — chosen per object from a sampled byte
+// histogram, because in FP32/FP16 streams only the sign/exponent plane
+// is compressible and the mantissa planes are noise. An object with no
+// plane worth coding, or one the coder cannot shrink, is stored raw
 // (codec id 0) — incompressible data never grows past one header and
-// never pays decompression on read.
+// never pays decoding on read. Codec id 1 (whole-object transpose +
+// DEFLATE) is what this package wrote before; it is still read.
+//
+// # Where the CPU runs
+//
+// Write is Encode then WriteEncoded; Read is ReadEncoded then Decode.
+// The halves are exported (storage.SplitTier) so the aio engine runs the
+// codec's CPU outside the node-level tier lock and holds the lock for the
+// device transfer alone.
 //
 // # Integrity
 //
@@ -63,7 +75,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -96,13 +107,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type Spec struct {
 	// Compression selects the codec: "" or "raw" stores payloads
 	// verbatim (headers and integrity only), "flate" enables the
-	// byte-plane-transpose + DEFLATE codec.
+	// plane-split entropy codec (the name predates it and is what
+	// manifests and command lines carry).
 	Compression string
-	// Level is the DEFLATE level (1..9); 0 means flate.BestSpeed —
-	// the codec exists to beat the device, not to win ratio contests.
-	Level int
-	// Stride is the byte-plane transpose stride: 4 (FP32, the default)
-	// or 2 (FP16-dominant payloads). 1 disables the transpose.
+	// Stride is the byte-plane stride: 4 (FP32, the default) or 2
+	// (FP16-dominant payloads). 1 treats the object as one plane.
 	Stride int
 	// Integrity records and verifies a CRC32-C per object.
 	Integrity bool
@@ -120,16 +129,11 @@ func (s Spec) String() string {
 	if comp == "" {
 		comp = "raw"
 	}
-	if comp == "flate" && s.Level != 0 && s.Level != defaultLevel {
-		comp += ":" + strconv.Itoa(s.Level)
-	}
 	if s.Integrity {
 		comp += "+crc"
 	}
 	return comp
 }
-
-const defaultLevel = 1 // flate.BestSpeed
 
 // normalize validates the spec and fills defaults.
 func (s Spec) normalize() (Spec, error) {
@@ -141,28 +145,22 @@ func (s Spec) normalize() (Spec, error) {
 	default:
 		return s, fmt.Errorf("tiercodec: unknown compression %q (want raw or flate)", s.Compression)
 	}
-	if s.Level == 0 {
-		s.Level = defaultLevel
-	}
-	if s.Level < 1 || s.Level > 9 {
-		return s, fmt.Errorf("tiercodec: flate level %d out of range [1,9]", s.Level)
-	}
 	switch s.Stride {
 	case 0:
 		s.Stride = 4
 	case 1, 2, 4, 8:
 	default:
-		return s, fmt.Errorf("tiercodec: transpose stride %d (want 1, 2, 4 or 8)", s.Stride)
+		return s, fmt.Errorf("tiercodec: plane stride %d (want 1, 2, 4 or 8)", s.Stride)
 	}
 	return s, nil
 }
 
 // ParseSpec parses a textual codec spec: a compression name ("raw",
-// "none", "flate", optionally "flate:9" for a level) with an optional
-// "+crc" integrity suffix. "" and "off" yield a disabled spec.
+// "none", "flate") with an optional "+crc" integrity suffix. "" and
+// "off" yield a disabled spec.
 //
 //	flate+crc   compression and integrity (the recommended setting)
-//	flate:6     compression only, DEFLATE level 6
+//	flate       compression only
 //	crc         integrity only
 //	raw         header only (accounting without compression or CRC)
 func ParseSpec(text string) (Spec, error) {
@@ -176,15 +174,10 @@ func ParseSpec(text string) (Spec, error) {
 		case part == "crc":
 			s.Integrity = true
 		case i == 0:
-			name, level, hasLevel := strings.Cut(part, ":")
-			s.Compression = name
-			if hasLevel {
-				l, err := strconv.Atoi(level)
-				if err != nil {
-					return s, fmt.Errorf("tiercodec: bad level in spec %q", text)
-				}
-				s.Level = l
+			if name, _, hasLevel := strings.Cut(part, ":"); hasLevel {
+				return s, fmt.Errorf("tiercodec: spec %q: DEFLATE levels are gone — the writer entropy-codes byte planes and has no level; write %q", text, name)
 			}
+			s.Compression = part
 		default:
 			return s, fmt.Errorf("tiercodec: bad spec %q", text)
 		}
@@ -276,43 +269,52 @@ func (t *Tier) Name() string { return t.inner.Name() }
 // Write implements storage.Tier: encode src per the spec and store the
 // self-describing object.
 func (t *Tier) Write(ctx context.Context, key string, src []byte) error {
-	bp := getScratch(HeaderSize + len(src))
-	defer putScratch(bp)
-	buf := (*bp)[:HeaderSize]
+	enc := t.Encode(src)
+	defer bufpool.Put(enc)
+	return t.WriteEncoded(ctx, key, enc)
+}
 
-	id := CodecRaw
+// Encode implements storage.SplitTier: the CPU half of Write. It returns
+// the complete encoded object (header, payload, CRC) in a pooled buffer
+// the caller owns — recycle with bufpool.Put once WriteEncoded returns.
+func (t *Tier) Encode(src []byte) []byte {
 	stride := t.spec.Stride
+	buf := bufpool.Get(HeaderSize + stride*dirEntrySize + len(src))[:HeaderSize]
+	id := CodecRaw
 	if t.spec.Compression == "flate" {
-		if enc, ok := encodeFlate(buf, src, t.spec.Level, stride); ok {
-			id = CodecFlate
-			buf = enc
+		if enc, ok := encodePlanes(buf, src, stride); ok {
+			id, buf = CodecPlanes, enc
+		} else {
+			t.bypassed.Add(1)
 		}
 	}
 	if id == CodecRaw {
 		stride = 1
 		buf = append(buf, src...)
-		if t.spec.Compression == "flate" {
-			t.bypassed.Add(1)
-		}
 	}
 	t.putHeader(buf, id, uint8(stride), uint64(len(src)))
+	return buf
+}
 
+// WriteEncoded implements storage.SplitTier: the transfer half of Write,
+// storing an object Encode produced.
+func (t *Tier) WriteEncoded(ctx context.Context, key string, enc []byte) error {
 	// Run the inner write under a private wire cell: if a deeper codec
 	// layer re-encodes this object, its (device-closer) count wins; the
 	// resolved value propagates into the caller's cell exactly once.
 	innerCtx, wc := storage.WithWireCount(ctx)
-	if err := t.inner.Write(innerCtx, key, buf); err != nil {
+	if err := t.inner.Write(innerCtx, key, enc); err != nil {
 		return err
 	}
 	wire := wc.Bytes()
 	if wire == 0 {
-		wire = int64(len(buf))
+		wire = int64(len(enc))
 	}
 	storage.RecordWireBytes(ctx, wire)
 	t.objects.Add(1)
 	t.writes.Add(1)
-	t.rawIn.Add(int64(len(src)))
-	t.encOut.Add(int64(len(buf)))
+	t.rawIn.Add(int64(binary.LittleEndian.Uint64(enc[8:])))
+	t.encOut.Add(int64(len(enc)))
 	return nil
 }
 
@@ -341,24 +343,32 @@ func (t *Tier) putHeader(buf []byte, id, stride uint8, rawLen uint64) {
 // internal/bufpool — a steady-state fetch stream decodes with zero
 // per-read allocation.
 func (t *Tier) Read(ctx context.Context, key string, dst []byte) error {
-	obj, err := t.readInner(ctx, key)
+	enc, err := t.ReadEncoded(ctx, key)
 	if err != nil {
 		return err
 	}
-	defer bufpool.Put(obj)
-	hdr, err := t.parseHeader(key, obj)
+	defer bufpool.Put(enc)
+	return t.Decode(key, enc, dst)
+}
+
+// Decode implements storage.SplitTier: the CPU half of Read. It validates
+// enc (an object ReadEncoded returned) and decodes it into dst, whose
+// length must equal the object's raw length; any structural or integrity
+// failure is ErrCorrupt.
+func (t *Tier) Decode(key string, enc, dst []byte) error {
+	hdr, err := t.parseHeader(key, enc)
 	if err != nil {
 		return err
 	}
 	if hdr.rawLen != int64(len(dst)) {
 		return t.fail(key, "raw length %d, caller expects %d", hdr.rawLen, len(dst))
 	}
-	if err := t.decodePayload(key, hdr, obj[HeaderSize:], dst); err != nil {
+	if err := t.decodePayload(key, hdr, enc[HeaderSize:], dst); err != nil {
 		return err
 	}
 	t.reads.Add(1)
 	t.rawOut.Add(int64(len(dst)))
-	t.encIn.Add(int64(len(obj)))
+	t.encIn.Add(int64(len(enc)))
 	return nil
 }
 
@@ -369,8 +379,12 @@ func (t *Tier) Read(ctx context.Context, key string, dst []byte) error {
 // definition. This keeps the un-checksummed-header backstop *real* — a
 // bit-rotted length field is rejected before anything allocates from it
 // — while integrity-enabled objects are caught exactly by the CRC
-// (which covers the header).
-const maxFlateExpansion = 1032
+// (which covers the header). maxPlanesExpansion is the same bound for
+// plane-split objects, whose shortest code is one bit per byte.
+const (
+	maxFlateExpansion  = 1032
+	maxPlanesExpansion = 8
+)
 
 // objHeader is a validated object header.
 type objHeader struct {
@@ -405,30 +419,33 @@ func (t *Tier) parseHeader(key string, obj []byte) (objHeader, error) {
 	rawLen := le.Uint64(obj[8:])
 	if flags&flagCRC != 0 {
 		want := le.Uint32(obj[16:])
-		var h [16]byte
-		copy(h[:], obj[:16])
-		crc := crc32.Update(0, castagnoli, h[:])
+		crc := crc32.Update(0, castagnoli, obj[:16])
 		crc = crc32.Update(crc, castagnoli, obj[HeaderSize:])
 		if crc != want {
 			return objHeader{}, t.fail(key, "CRC32-C mismatch (stored %#x, computed %#x)", want, crc)
 		}
 	}
-	payloadLen := int64(len(obj) - HeaderSize)
+	payloadLen := uint64(len(obj) - HeaderSize)
 	// Structural length validation per codec — before any caller
 	// allocates from the claimed length, so a rotted length field in an
 	// un-checksummed header surfaces as ErrCorrupt, never as a runaway
 	// allocation.
+	var maxRaw uint64
 	switch hdr.id {
 	case CodecRaw:
-		if rawLen != uint64(payloadLen) {
+		if rawLen != payloadLen {
 			return objHeader{}, t.fail(key, "raw payload %d bytes, header claims %d", payloadLen, rawLen)
 		}
+		maxRaw = payloadLen
 	case CodecFlate:
-		if rawLen > uint64(payloadLen)*maxFlateExpansion+64 {
-			return objHeader{}, t.fail(key, "raw length %d impossible for a %d-byte flate payload", rawLen, payloadLen)
-		}
+		maxRaw = payloadLen*maxFlateExpansion + 64
+	case CodecPlanes:
+		maxRaw = payloadLen * maxPlanesExpansion
 	default:
 		return objHeader{}, t.fail(key, "unknown codec id %d (%s)", hdr.id, codecName(hdr.id))
+	}
+	if rawLen > maxRaw {
+		return objHeader{}, t.fail(key, "raw length %d impossible for a %d-byte %s payload", rawLen, payloadLen, codecName(hdr.id))
 	}
 	hdr.rawLen = int64(rawLen)
 	if hdr.stride < 1 {
@@ -437,22 +454,25 @@ func (t *Tier) parseHeader(key string, obj []byte) (objHeader, error) {
 	return hdr, nil
 }
 
-// decodePayload decompresses payload into dst (len(dst) == hdr.rawLen)
+// decodePayload decodes payload into dst (len(dst) == hdr.rawLen)
 // according to the validated header.
 func (t *Tier) decodePayload(key string, hdr objHeader, payload, dst []byte) error {
+	var err error
 	switch hdr.id {
 	case CodecRaw:
 		copy(dst, payload)
-		return nil
 	case CodecFlate:
-		if err := decodeFlate(dst, payload, hdr.stride); err != nil {
-			t.corrupt.Add(1)
-			return fmt.Errorf("%s/%s: %w", t.Name(), key, err)
+		err = decodeFlate(dst, payload, hdr.stride)
+	case CodecPlanes:
+		if err = decodePlanes(dst, payload, hdr.stride); err != nil {
+			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		return nil
-	default:
-		return t.fail(key, "unknown codec id %d (%s)", hdr.id, codecName(hdr.id))
 	}
+	if err != nil {
+		t.corrupt.Add(1)
+		return fmt.Errorf("%s/%s: %w", t.Name(), key, err)
+	}
+	return nil
 }
 
 // ReadObject implements storage.ObjectReader: one inner fetch, header
@@ -462,7 +482,7 @@ func (t *Tier) decodePayload(key string, hdr objHeader, payload, dst []byte) err
 // encoded object across the device once, not twice, and keep the
 // whole-object atomicity guarantee even through stacked codec layers.
 func (t *Tier) ReadObject(ctx context.Context, key string) ([]byte, error) {
-	obj, err := t.readInner(ctx, key)
+	obj, err := t.ReadEncoded(ctx, key)
 	if err != nil {
 		return nil, err
 	}
@@ -493,7 +513,7 @@ func (t *Tier) Delete(ctx context.Context, key string) error {
 // call; EncodedSize returns the device-level size cheaply, and readers
 // that want the bytes anyway should use ReadObject (one fetch).
 func (t *Tier) Size(ctx context.Context, key string) (int64, error) {
-	obj, err := t.readInner(ctx, key)
+	obj, err := t.ReadEncoded(ctx, key)
 	if err != nil {
 		return 0, err
 	}
@@ -505,12 +525,14 @@ func (t *Tier) Size(ctx context.Context, key string) (int64, error) {
 	return hdr.rawLen, nil
 }
 
-// readInner fetches this layer's whole encoded object from the inner
-// tier and records the device-level wire count into the caller's cell:
-// a deeper codec layer's measurement (taken under a private nested
-// cell) wins over this layer's own object size, so stacked layers
-// always propagate the count closest to the device.
-func (t *Tier) readInner(ctx context.Context, key string) ([]byte, error) {
+// ReadEncoded implements storage.SplitTier: the transfer half of Read.
+// It fetches this layer's whole encoded object from the inner tier into
+// a pooled buffer the caller owns, and records the device-level wire
+// count into the caller's cell: a deeper codec layer's measurement
+// (taken under a private nested cell) wins over this layer's own object
+// size, so stacked layers always propagate the count closest to the
+// device.
+func (t *Tier) ReadEncoded(ctx context.Context, key string) ([]byte, error) {
 	innerCtx, wc := storage.WithWireCount(ctx)
 	obj, err := storage.ReadWholeObject(innerCtx, t.inner, key)
 	if err != nil {

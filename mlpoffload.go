@@ -291,14 +291,15 @@ type ThrottleSpec struct {
 // ---- Tier codec middleware ----
 
 // CodecSpec selects transparent tier middleware: compression
-// ("flate", byte-plane transpose + DEFLATE with an incompressible-data
-// bypass) and/or per-object CRC32-C integrity. Set it on a TierSpec to
-// have the engine wrap that tier at construction, or wrap standalone
-// tiers with NewCodecTier. See ParseCodecSpec for the textual form.
+// ("flate": byte planes split apart and the compressible ones entropy-
+// coded, with an incompressible-data bypass) and/or per-object CRC32-C
+// integrity. Set it on a TierSpec to have the engine wrap that tier at
+// construction, or wrap standalone tiers with NewCodecTier. See
+// ParseCodecSpec for the textual form.
 type CodecSpec = tiercodec.Spec
 
 // ParseCodecSpec parses a textual codec spec: "flate+crc" (recommended),
-// "flate:6", "crc", "raw"; "" or "off" disable the middleware.
+// "flate", "crc", "raw"; "" or "off" disable the middleware.
 func ParseCodecSpec(text string) (CodecSpec, error) { return tiercodec.ParseSpec(text) }
 
 // CodecTier is the codec middleware around a Tier. Objects written
