@@ -38,14 +38,28 @@
 // QueueDepth bounds each class independently; a full Checkpoint queue
 // blocks only checkpoint submitters, never a DemandFetch Submit.
 //
+// # Same-key order
+//
+// Operations on one key of the engine's tier execute in submission order,
+// whatever their kind or class: an op whose key still has an unfinished
+// earlier op — queued, parked or executing; every member key of a
+// vectored read counts — is parked behind it and enters its class queue
+// only when that op finishes. A read therefore observes the write
+// submitted before it, and a write survives the delete submitted before
+// it, without the caller waiting on either. Priority is inherited down
+// the chain: parking (or promoting) an urgent op behind a less urgent one
+// promotes that one too, so a demand fetch never waits at Migration
+// priority. Parked time is queue time. Ops on different keys are
+// unordered, as are ops on one key submitted from goroutines that do not
+// order their Submit calls themselves.
+//
 // Concurrency contract: Submit/Wait/Promote and every metric accessor are
 // safe for concurrent use — the update pipeline's issuer, workers and
 // committer all submit against the same engines. Operations execute on
 // the tier from Workers goroutines concurrently, so the backing
-// storage.Tier must honor its own concurrency contract; completion order
-// is neither submission order nor strict class order (Workers > 1), and
-// callers needing read-after-write ordering on one key must wait for the
-// write's Op before submitting the read.
+// storage.Tier must honor its own concurrency contract; across different
+// keys completion order is neither submission order nor strict class
+// order (Workers > 1).
 package aio
 
 import (
@@ -148,6 +162,27 @@ type Op struct {
 	queuedAt time.Time
 	started  time.Time
 	finished time.Time
+
+	buf []byte
+	// Vectored read batch (nil for single-object ops): one scheduling
+	// decision fills bufs[i] with the object at keys[i].
+	keys []string
+	bufs [][]byte
+	// Same-key order, guarded by Engine.mu. waits counts the unfinished
+	// earlier ops on this op's keys: while it is positive the op is
+	// parked — in no class queue. preds are those ops (priority
+	// inheritance walks them), next the ops parked behind this one.
+	waits int
+	preds []*Op
+	next  []*Op
+}
+
+// memberKeys returns the keys the op operates on.
+func (o *Op) memberKeys() []string {
+	if o.keys != nil {
+		return o.keys
+	}
+	return []string{o.Key}
 }
 
 // WireBytes returns the bytes the operation moved at the device level;
@@ -185,7 +220,9 @@ func (o *Op) Done() <-chan struct{} { return o.done }
 // Err returns the operation error; valid only after Done.
 func (o *Op) Err() error { return o.err }
 
-// QueueTime returns how long the op sat in the submission queue.
+// QueueTime returns how long the op waited between submission and
+// execution: in its class queue, and before that parked behind an earlier
+// op on the same key.
 func (o *Op) QueueTime() time.Duration { return o.started.Sub(o.queuedAt) }
 
 // TransferTime returns how long the device transfer took (including the
@@ -206,8 +243,11 @@ type Engine struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond // enqueue/dequeue/close events
-	queues [NumClasses][]*task
+	queues [NumClasses][]*Op
 	queued int
+	// last maps a key to the latest unfinished op submitted on it — the
+	// tail a new op on that key parks behind (same-key order).
+	last   map[string]*Op
 	depth  int // per-class bound
 	aging  time.Duration
 	closed bool
@@ -227,15 +267,6 @@ type Engine struct {
 	opsDone       atomic.Int64
 	opsFailed     atomic.Int64
 	perClass      [NumClasses]classCell
-}
-
-type task struct {
-	op  *Op
-	buf []byte
-	// Vectored read batch (nil for single-object ops): one scheduling
-	// decision fills bufs[i] with the object at keys[i].
-	keys []string
-	bufs [][]byte
 }
 
 // classCell accumulates one class's counters.
@@ -294,6 +325,7 @@ func New(tier storage.Tier, cfg Config) *Engine {
 		clk:    clock.Or(cfg.Clock),
 		depth:  cfg.QueueDepth,
 		aging:  cfg.AgingThreshold,
+		last:   make(map[string]*Op),
 		ctx:    ctx,
 		cancel: cancel,
 	}
@@ -312,19 +344,21 @@ func (e *Engine) Tier() storage.Tier { return e.tier }
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
-		t := e.next()
-		if t == nil {
+		op := e.next()
+		if op == nil {
 			return
 		}
-		e.execute(t)
+		op.started = e.clk.Now()
+		wire, err := e.transfer(op)
+		e.finish(op, wire, err)
 	}
 }
 
-// next blocks until a task is schedulable and dequeues it, or returns nil
+// next blocks until an op is schedulable and dequeues it, or returns nil
 // once the engine is closed and fully drained. The executing counter is
 // raised inside the same critical section that dequeues, so Drain can
 // never observe queued == 0 with the op not yet counted as executing.
-func (e *Engine) next() *task {
+func (e *Engine) next() *Op {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for e.queued == 0 {
@@ -333,26 +367,26 @@ func (e *Engine) next() *task {
 		}
 		e.cond.Wait()
 	}
-	t := e.pick(e.clk.Now())
+	op := e.pick(e.clk.Now())
 	e.queued--
 	e.executing.Add(1)
 	e.cond.Broadcast() // free a Submit slot, wake Drain pollers
-	return t
+	return op
 }
 
 // pick implements the multi-level policy: serve the oldest op whose queue
 // age exceeds the aging threshold (starvation proofing, oldest first
 // across all classes), otherwise the head of the highest-priority
 // non-empty class. Caller holds mu and guarantees queued > 0.
-func (e *Engine) pick(now time.Time) *task {
+func (e *Engine) pick(now time.Time) *Op {
 	best := -1
 	if e.aging > 0 {
 		for c := 0; c < NumClasses; c++ {
 			q := e.queues[c]
-			if len(q) == 0 || now.Sub(q[0].op.queuedAt) < e.aging {
+			if len(q) == 0 || now.Sub(q[0].queuedAt) < e.aging {
 				continue
 			}
-			if best == -1 || q[0].op.queuedAt.Before(e.queues[best][0].op.queuedAt) {
+			if best == -1 || q[0].queuedAt.Before(e.queues[best][0].queuedAt) {
 				best = c
 			}
 		}
@@ -365,33 +399,21 @@ func (e *Engine) pick(now time.Time) *task {
 			}
 		}
 	}
-	t := e.queues[best][0]
+	op := e.queues[best][0]
 	e.queues[best][0] = nil // release for GC
 	e.queues[best] = e.queues[best][1:]
-	return t
+	return op
 }
 
-func (e *Engine) execute(t *task) {
-	// The counter was raised in next(), under the queue lock; lower it
-	// under the same lock and wake Drain waiters blocked on idleness.
-	defer func() {
-		e.mu.Lock()
-		e.executing.Add(-1)
-		e.cond.Broadcast()
-		e.mu.Unlock()
-	}()
-	op := t.op
-	op.started = e.clk.Now()
+// transfer runs the op against the tier and returns the bytes the device
+// moved.
+func (e *Engine) transfer(op *Op) (int64, error) {
 	if e.split != nil && op.Kind != Delete {
-		wire, err := e.executeSplit(t)
-		e.finish(op, wire, err)
-		return
+		return e.executeSplit(op)
 	}
-
 	rel, err := e.lock(op)
 	if err != nil {
-		e.finish(op, 0, err)
-		return
+		return 0, err
 	}
 	// A codec decorator records the encoded (device-level) size of the
 	// transfer into the wire-count cell; plain tiers leave it at zero and
@@ -401,14 +423,14 @@ func (e *Engine) execute(t *task) {
 	switch op.Kind {
 	case Read:
 		ctx, wc = storage.WithWireCount(ctx)
-		if t.keys != nil {
-			err = storage.ReadVec(ctx, e.tier, t.keys, t.bufs)
+		if op.keys != nil {
+			err = storage.ReadVec(ctx, e.tier, op.keys, op.bufs)
 		} else {
-			err = e.tier.Read(ctx, op.Key, t.buf)
+			err = e.tier.Read(ctx, op.Key, op.buf)
 		}
 	case Write:
 		ctx, wc = storage.WithWireCount(ctx)
-		err = e.tier.Write(ctx, op.Key, t.buf)
+		err = e.tier.Write(ctx, op.Key, op.buf)
 	case Delete:
 		err = e.tier.Delete(ctx, op.Key)
 	}
@@ -419,7 +441,7 @@ func (e *Engine) execute(t *task) {
 			wire = w
 		}
 	}
-	e.finish(op, wire, err)
+	return wire, err
 }
 
 // lock takes the tier's node-level exclusive lock when concurrency
@@ -440,11 +462,10 @@ func (e *Engine) lock(op *Op) (tierlock.Release, error) {
 // inner write of the encoded object; a read — each member of a vectored
 // one — takes the lock for the inner whole-object read, releases it, and
 // only then decodes. It returns the encoded bytes the device moved.
-func (e *Engine) executeSplit(t *task) (int64, error) {
-	op := t.op
+func (e *Engine) executeSplit(op *Op) (int64, error) {
 	if op.Kind == Write {
 		t0 := e.clk.Now()
-		enc := e.split.Encode(t.buf)
+		enc := e.split.Encode(op.buf)
 		defer bufpool.Put(enc)
 		op.codec = e.clk.Since(t0)
 		rel, err := e.lock(op)
@@ -456,12 +477,12 @@ func (e *Engine) executeSplit(t *task) (int64, error) {
 		rel()
 		return wc.Bytes(), err
 	}
-	if t.keys == nil {
-		return e.readSplit(op, op.Key, t.buf)
+	if op.keys == nil {
+		return e.readSplit(op, op.Key, op.buf)
 	}
 	var wire int64
-	for i, key := range t.keys {
-		w, err := e.readSplit(op, key, t.bufs[i])
+	for i, key := range op.keys {
+		w, err := e.readSplit(op, key, op.bufs[i])
 		wire += w
 		if err != nil {
 			return wire, err
@@ -489,6 +510,11 @@ func (e *Engine) readSplit(op *Op, key string, dst []byte) (int64, error) {
 	return wc.Bytes(), err
 }
 
+// finish stamps and accounts a completed op, then retires it under the
+// queue lock: the ops parked behind it enter their class queues, the op
+// completes, and the executing counter (raised in next, under the same
+// lock) drops — one critical section, so Drain never observes idleness
+// between an op finishing and its followers becoming schedulable.
 func (e *Engine) finish(op *Op, wire int64, err error) {
 	op.finished = e.clk.Now()
 	op.err = err
@@ -516,22 +542,47 @@ func (e *Engine) finish(op *Op, wire int64, err error) {
 		e.opsFailed.Add(1)
 		cell.failed.Add(1)
 	}
+	e.mu.Lock()
+	for _, key := range op.memberKeys() {
+		if e.last[key] == op {
+			delete(e.last, key)
+		}
+	}
+	for _, n := range op.next {
+		if n.waits--; n.waits == 0 {
+			n.preds = nil
+			e.push(n)
+		}
+	}
+	op.next = nil
 	close(op.done)
+	e.executing.Add(-1)
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
-// submit enqueues a single-object task at the given class.
+// push appends a runnable op to its class queue. Caller holds mu.
+func (e *Engine) push(op *Op) {
+	c := op.Class()
+	e.queues[c] = append(e.queues[c], op)
+	e.queued++
+}
+
+// submit enqueues a single-object op at the given class.
 func (e *Engine) submit(c Class, kind OpKind, key string, buf []byte) (*Op, error) {
 	if c < 0 || int(c) >= NumClasses {
 		return nil, fmt.Errorf("aio: invalid class %d", c)
 	}
-	op := &Op{Kind: kind, Key: key, Bytes: len(buf), done: make(chan struct{})}
+	op := &Op{Kind: kind, Key: key, Bytes: len(buf), done: make(chan struct{}), buf: buf}
 	op.class.Store(int32(c))
-	return e.enqueue(c, &task{op: op, buf: buf})
+	return e.enqueue(c, op)
 }
 
-// enqueue inserts a prepared task into its class queue, blocking while
-// that class is full.
-func (e *Engine) enqueue(c Class, t *task) (*Op, error) {
+// enqueue admits a prepared op, blocking while its class queue is
+// full: it becomes the latest op on each of its keys, and either enters
+// the class queue or — when a key still has an unfinished earlier op —
+// parks behind it, lending that op its class (same-key order).
+func (e *Engine) enqueue(c Class, op *Op) (*Op, error) {
 	e.mu.Lock()
 	for !e.closed && len(e.queues[c]) >= e.depth {
 		e.cond.Wait()
@@ -540,12 +591,22 @@ func (e *Engine) enqueue(c Class, t *task) (*Op, error) {
 		e.mu.Unlock()
 		return nil, ErrEngineClosed
 	}
-	t.op.queuedAt = e.clk.Now()
-	e.queues[c] = append(e.queues[c], t)
-	e.queued++
+	op.queuedAt = e.clk.Now()
+	for _, key := range op.memberKeys() {
+		if p := e.last[key]; p != nil && p != op {
+			p.next = append(p.next, op)
+			op.preds = append(op.preds, p)
+			op.waits++
+			e.promote(p, c)
+		}
+		e.last[key] = op
+	}
+	if op.waits == 0 {
+		e.push(op)
+	}
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	return t.op, nil
+	return op, nil
 }
 
 // SubmitReadClass enqueues an asynchronous fetch of key into dst at the
@@ -581,9 +642,9 @@ func (e *Engine) SubmitReadVecClass(c Class, keys []string, dsts [][]byte) (*Op,
 	for _, d := range dsts {
 		total += len(d)
 	}
-	op := &Op{Kind: Read, Key: fmt.Sprintf("%s (+%d)", keys[0], len(keys)-1), Bytes: total, done: make(chan struct{})}
+	op := &Op{Kind: Read, Key: fmt.Sprintf("%s (+%d)", keys[0], len(keys)-1), Bytes: total, done: make(chan struct{}), keys: keys, bufs: dsts}
 	op.class.Store(int32(c))
-	return e.enqueue(c, &task{op: op, keys: keys, bufs: dsts})
+	return e.enqueue(c, op)
 }
 
 // SubmitWriteClass enqueues an asynchronous flush of src under key at the
@@ -612,28 +673,41 @@ func (e *Engine) SubmitWrite(key string, src []byte) (*Op, error) {
 }
 
 // Promote raises a queued op to a more urgent class (typically a Prefetch
-// the update worker is now blocked on, promoted to DemandFetch). It is a
-// no-op if the op already started executing, completed, or already has
-// equal or higher priority.
+// the update worker is now blocked on, promoted to DemandFetch). An op
+// parked behind earlier same-key ops takes those along — the wait is
+// theirs. It is a no-op if the op already started executing, completed,
+// or already has equal or higher priority.
 func (e *Engine) Promote(op *Op, c Class) {
 	if c < 0 || int(c) >= NumClasses {
 		return
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cur := Class(op.class.Load())
+	e.promote(op, c)
+}
+
+// promote is Promote with mu held.
+func (e *Engine) promote(op *Op, c Class) {
+	cur := op.Class()
 	if c >= cur {
 		return
 	}
+	if op.waits > 0 {
+		op.class.Store(int32(c))
+		for _, p := range op.preds {
+			e.promote(p, c)
+		}
+		return
+	}
 	q := e.queues[cur]
-	for i, t := range q {
-		if t.op != op {
+	for i, qo := range q {
+		if qo != op {
 			continue
 		}
 		copy(q[i:], q[i+1:])
 		q[len(q)-1] = nil
 		e.queues[cur] = q[:len(q)-1]
-		e.queues[c] = append(e.queues[c], t)
+		e.queues[c] = append(e.queues[c], op)
 		op.class.Store(int32(c))
 		e.cond.Broadcast() // a slot opened in cur's queue
 		return
@@ -758,9 +832,10 @@ func (e *Engine) QueuedByClass() [NumClasses]int {
 // lazy flushes before starting the next backward pass"). It blocks on the
 // engine condition variable — no polling — and is woken by the same
 // broadcasts that pace Submit: dequeue in next() and completion in
-// execute(). The executing counter moves only under mu (raised in next,
-// lowered in execute's defer), so "queued == 0 && executing == 0" is an
-// atomic idleness observation, never a racy in-between.
+// finish(). The executing counter moves only under mu (raised in next,
+// lowered in finish), so "queued == 0 && executing == 0" is an atomic
+// idleness observation, never a racy in-between — and it covers parked
+// ops, each of which waits on an op that is queued or executing.
 func (e *Engine) Drain() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -769,8 +844,8 @@ func (e *Engine) Drain() {
 	}
 }
 
-// Close stops accepting submissions, waits for queued ops of every class
-// to finish, and releases workers. Close is idempotent.
+// Close stops accepting submissions, waits for queued and parked ops of
+// every class to finish, and releases workers. Close is idempotent.
 func (e *Engine) Close() {
 	e.mu.Lock()
 	if e.closed {

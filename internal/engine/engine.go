@@ -44,6 +44,10 @@ type Engine struct {
 	// race the migrator; plain reads are safe only in code that runs with
 	// migrations quiesced (after drain) or for pinned subgroups.
 	loc []int
+	// stat are the tiers as configured, below the engine's own codec
+	// wrapping: Size there is a metadata probe, where a codec tier must
+	// read the whole object to report its raw length.
+	stat []storage.Tier
 	// gradLoc is the tier each subgroup's FP32 gradient object was written
 	// to during the latest backward pass (-1 = none yet). Gradients are
 	// per-iteration transients, so they are never migrated; fetches read
@@ -52,7 +56,7 @@ type Engine struct {
 	// staleTier is the tier still holding a host-resident subgroup's
 	// now-stale state object from before its fetch (-1 = none). When the
 	// subgroup is later evicted to a *different* tier, the stale source is
-	// deleted — the same delete discipline the migrator follows, so an
+	// reclaimed — the same discipline the migrator follows, so an
 	// offloaded subgroup's object lives on exactly one tier. Guarded by
 	// cacheMu.
 	staleTier []int
@@ -88,7 +92,7 @@ type Engine struct {
 	pendingFlush []*aio.Op
 	pendingGrads []*aio.Op
 	flushWG      sync.WaitGroup
-	mu           sync.Mutex // guards pendingFlush/flushTickets/async-stats bookkeeping
+	mu           sync.Mutex // guards pendingFlush and the async-stats bookkeeping
 	// asyncFlushStats accumulates *write* metrics (bytes, transfer time)
 	// from asynchronous eviction flushes as they complete, plus the
 	// per-priority-class breakdown of every asynchronous op (flushes and
@@ -103,33 +107,33 @@ type Engine struct {
 		class map[string]metrics.ClassIO
 	}
 
-	// cacheMu serializes the compound residency transitions of the update
-	// pipeline: {read loc, pin} in the issuer, {set loc, unpin, touch,
-	// pick victims, publish flush tickets} in the committer, and
-	// {check pin, mark migrating, flip loc} in the migrator. loc, lru,
-	// plan and migrating must change together or the issuer could classify
-	// a subgroup as a cache hit while the committer is evicting it (or
-	// fetch from a tier the migrator is abandoning).
-	cacheMu sync.Mutex
-	// flushTickets orders a refetch (or a migration read) after an
-	// in-flight eviction flush of the same subgroup (read-after-write on
-	// the tier). Entries persist until the next update phase has waited
-	// the flushes durable.
-	flushTickets map[int]*flushTicket
-	// pendingDeletes are best-effort reclamation deletes of stale state
-	// and gradient objects. They are waited — errors ignored, a failed
-	// delete only orphans bytes — at the next update-phase start, before
-	// any write could target the same key on the same tier again (a slow
-	// delete landing after a fresh write would destroy a live object).
-	// deleteTickets lets the migrator, which runs between those barriers,
-	// order its destination write after a subgroup's in-flight delete.
-	// Both guarded by mu.
-	pendingDeletes []*aio.Op
-	deleteTickets  map[int]*aio.Op
-	// migrating marks subgroups whose backing object is mid-copy between
-	// tiers; the issuer waits for the ticket before classifying them.
-	// Guarded by cacheMu.
-	migrating map[int]*migrationTicket
+	// One ordering rule per object. Every tier op on a subgroup's state
+	// key — fetch, eviction write, stale-tier delete, migration read,
+	// write and source delete — is submitted while the subgroup is held by
+	// exactly one party: pinned by the update pipeline (issuer to
+	// committer), or marked in held by the committer (a victim, until its
+	// eviction write and stale-tier delete are queued) or by the migrator
+	// (from claiming the subgroup until its source delete is queued).
+	// Restore runs with the engine quiesced, which holds everything.
+	// Holders take turns under cacheMu and submit in program order, and
+	// aio executes the ops on one key of one tier in submission order
+	// (package aio, "Same-key order") — so on every tier the object sees
+	// its ops in the order the holders took their turns, and nobody waits
+	// for an op to land merely to order the next one behind it. Waits
+	// remain only where data or an error is needed: a fetch before its
+	// update, a migration copy before loc flips, flushes at the phase
+	// barrier (pendingFlush, which surfaces write errors).
+	//
+	// cacheMu serializes the compound residency transitions: {wait out a
+	// hold, pin, read loc} in the issuer, {set loc, unpin, touch, pick and
+	// hold victims} in the committer, and {check pin and hold, hold, flip
+	// loc} in the migrator. loc, lru, plan and held must change together
+	// or the issuer could classify a subgroup as a cache hit while the
+	// committer is evicting it (or fetch from a tier the migrator is
+	// abandoning). heldCond (on cacheMu) signals a hold's release.
+	cacheMu  sync.Mutex
+	held     []bool
+	heldCond *sync.Cond
 	// Migration queue state (see migrate.go). migMu guards the queue and
 	// in-flight count; migCond signals enqueue/completion/close.
 	migMu       sync.Mutex
@@ -165,7 +169,9 @@ func New(cfg Config) (*Engine, error) {
 	// Private copy of the tier slice: codec wrapping below must never
 	// mutate the caller's TierSpec backing array.
 	cfg.Tiers = append([]TierSpec(nil), cfg.Tiers...)
+	stat := make([]storage.Tier, len(cfg.Tiers))
 	for i, t := range cfg.Tiers {
+		stat[i] = t.Tier
 		if !t.Codec.Enabled() {
 			continue
 		}
@@ -178,7 +184,7 @@ func New(cfg Config) (*Engine, error) {
 		// tier's objects are uniformly encoded.
 		cfg.Tiers[i].Tier = ct
 	}
-	e := &Engine{cfg: cfg, clk: clock.Or(cfg.Clock)}
+	e := &Engine{cfg: cfg, clk: clock.Or(cfg.Clock), stat: stat}
 	if cfg.KernelWorkers > 1 {
 		e.kern = kernpool.New(cfg.KernelWorkers)
 	}
@@ -207,8 +213,6 @@ func New(cfg Config) (*Engine, error) {
 	e.flushPool = hostcache.NewBufferPool(2, stateBuf)
 	e.gradPool = hostcache.NewBufferPool(inflight+cfg.UpdateWorkers+1, 4*maxLen)
 	e.fetchSem = make(chan struct{}, cfg.PrefetchDepth)
-	e.flushTickets = make(map[int]*flushTicket)
-	e.deleteTickets = make(map[int]*aio.Op)
 
 	e.names = make([]string, len(cfg.Tiers))
 	e.est = placement.NewEstimator(0.5)
@@ -232,8 +236,10 @@ func New(cfg Config) (*Engine, error) {
 		e.gradLoc[i] = -1
 		e.staleTier[i] = -1
 	}
-	e.migrating = make(map[int]*migrationTicket)
+	e.held = make([]bool, m)
+	e.heldCond = sync.NewCond(&e.cacheMu)
 	e.migQueued = make(map[int]bool)
+	e.migStats.orphans = make(map[string]struct{})
 	e.migCond = sync.NewCond(&e.migMu)
 	if cfg.AdaptivePlacement && cfg.MigrationWindow > 0 {
 		e.migPool = hostcache.NewBufferPool(cfg.MigrationWindow, stateBuf)
@@ -317,34 +323,31 @@ func (e *Engine) gradKey(i int) string {
 	return fmt.Sprintf("rank%03d-sg%05d.grad", e.cfg.Rank, i)
 }
 
-// recordDelete tracks a best-effort reclamation delete until the next
-// phase-boundary wait. sg >= 0 additionally publishes it as the
-// subgroup's delete ticket so a concurrent migration orders its
-// destination write after it.
-func (e *Engine) recordDelete(sg int, op *aio.Op) {
-	e.mu.Lock()
-	e.pendingDeletes = append(e.pendingDeletes, op)
-	if sg >= 0 {
-		e.deleteTickets[sg] = op
-	}
-	e.mu.Unlock()
+// release ends the committer's or the migrator's hold on a subgroup.
+func (e *Engine) release(sg int) {
+	e.cacheMu.Lock()
+	e.held[sg] = false
+	e.heldCond.Broadcast()
+	e.cacheMu.Unlock()
 }
 
-// waitDeletes waits every pending reclamation delete — errors ignored, a
-// failed delete only orphans bytes — then drops the tickets (all waited,
-// so nothing needs ordering against them anymore).
-func (e *Engine) waitDeletes() {
-	e.mu.Lock()
-	dels := e.pendingDeletes
-	e.pendingDeletes = nil
-	e.mu.Unlock()
-	for _, op := range dels {
-		//mlpvet:allow aioop a failed reclamation delete only orphans bytes; see the function comment
-		_ = op.Wait()
+// reclaim deletes a stale object in the background. Same-key order keeps
+// the delete from ever removing a later write of the key, so nothing
+// waits for it except drain, and a failure only orphans bytes: it is
+// counted, never surfaced.
+func (e *Engine) reclaim(c aio.Class, tier int, key string) {
+	op, err := e.aios[tier].SubmitDelete(c, key)
+	if err != nil {
+		e.countOrphan(tier, key)
+		return
 	}
-	e.mu.Lock()
-	e.deleteTickets = make(map[int]*aio.Op)
-	e.mu.Unlock()
+	e.flushWG.Add(1)
+	go func() {
+		defer e.flushWG.Done()
+		if op.Wait() != nil {
+			e.countOrphan(tier, key)
+		}
+	}()
 }
 
 // IntegrityRetries reports how many update-phase fetches were re-read
@@ -515,13 +518,8 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 			if old := e.gradLoc[i]; old >= 0 && old != tier {
 				// The previous iteration's gradient object lives on another
 				// tier (the state migrated since): reclaim it so migration
-				// churn cannot accumulate orphaned grad objects. Tracked on
-				// pendingDeletes — waited at the next phase start but never
-				// fatal, and durable before any later backward could write
-				// this grad key on that tier again.
-				if dop, derr := e.aios[old].SubmitDelete(aio.Flush, e.gradKey(i)); derr == nil {
-					e.recordDelete(-1, dop)
-				}
+				// churn cannot accumulate orphaned grad objects.
+				e.reclaim(aio.Flush, old, e.gradKey(i))
 			}
 			e.gradLoc[i] = tier
 			e.pendingGrads = append(e.pendingGrads, op)
@@ -629,21 +627,39 @@ func (e *Engine) GatherParams(dst []float32) error {
 }
 
 // Drain waits for all outstanding asynchronous work, discarding errors.
-func (e *Engine) Drain() { _ = e.drain() }
+func (e *Engine) Drain() { _ = e.quiesce() }
 
-// drain waits for all outstanding asynchronous work and reports the first
-// failure it absorbed. Draining clears the pending-op lists, so a caller
-// that then reads tier state (checkpoint, restore, gather) MUST use this
-// form: with the plain Drain the failed flush would never surface — the
-// next updatePhase has nothing left to wait on — and the reader would see
-// the previous, stale object under the live key.
-//
-// drain also quiesces the live migrator: every queued migration completes
-// (or is abandoned) before it returns, so callers see a stable loc[] and
-// no in-flight cross-tier copies. Migration failures do not fail drain —
-// the source object stays authoritative and the next replan retries.
+// drain quiesces the engine and then checks that every offloaded subgroup
+// is where loc says — the barrier for callers about to read tier state
+// (checkpoint, gather). They MUST use this form: draining clears the
+// pending-op lists, so with the plain Drain a failed flush would never
+// surface — the next updatePhase has nothing left to wait on — and the
+// reader would see the previous, stale object under the live key.
 func (e *Engine) drain() error {
+	if err := e.quiesce(); err != nil {
+		return err
+	}
+	return e.checkObjects()
+}
+
+// quiesce waits for all outstanding asynchronous work and reports the
+// first failure it absorbed. It also quiesces the live migrator: every
+// queued migration completes (or is abandoned) before it returns, so
+// callers see a stable loc[] and no in-flight cross-tier copies.
+// Migration failures do not fail it — the source object stays
+// authoritative and the next replan retries. Reclamation deletes are
+// settled on return too: their completion goroutines ride flushWG.
+func (e *Engine) quiesce() error {
 	e.drainMigrations()
+	err := e.settleWrites()
+	e.flushWG.Wait()
+	return err
+}
+
+// settleWrites waits every lazy eviction flush and gradient write still
+// pending and reports the first failure — the phase barrier at which
+// asynchronous write errors surface.
+func (e *Engine) settleWrites() error {
 	e.mu.Lock()
 	flushes := e.pendingFlush
 	e.pendingFlush = nil
@@ -660,9 +676,47 @@ func (e *Engine) drain() error {
 		}
 	}
 	e.pendingGrads = nil
-	e.flushWG.Wait()
-	e.waitDeletes()
 	return firstErr
+}
+
+// LostObjectError reports an offloaded subgroup whose state object is not
+// on the tier the engine recorded for it: its optimizer state is gone,
+// and only a Restore from a checkpoint recovers the run.
+type LostObjectError struct {
+	Subgroup int
+	Tier     string
+	Err      error // the tier's answer to the probe
+}
+
+func (e *LostObjectError) Error() string {
+	return fmt.Sprintf("engine: subgroup %d: no state object on tier %s: %v", e.Subgroup, e.Tier, e.Err)
+}
+
+func (e *LostObjectError) Unwrap() error { return e.Err }
+
+// checkObjects enforces the object-lifecycle invariant on a quiesced
+// engine: every offloaded subgroup's state object is stored on its loc
+// tier, so a reader fails here, naming the subgroup, instead of on some
+// later fetch. A copy found on any other tier is an orphan — wasted
+// bytes, counted, harmless.
+func (e *Engine) checkObjects() error {
+	ctx := context.Background()
+	for sg, home := range e.loc {
+		if home == locHost {
+			continue // its tier copy, if any, is stale until eviction reclaims it
+		}
+		key := e.key(sg)
+		for ti, t := range e.stat {
+			_, err := t.Size(ctx, key)
+			if ti == home && err != nil {
+				return &LostObjectError{Subgroup: sg, Tier: e.names[ti], Err: err}
+			}
+			if ti != home && err == nil {
+				e.countOrphan(ti, key)
+			}
+		}
+	}
+	return nil
 }
 
 // Close drains and shuts down the engine. Idempotent.

@@ -21,28 +21,41 @@ import (
 // migration traffic can never delay a demand fetch, while the scheduler's
 // aging still guarantees it progresses.
 //
-// Lifecycle of one migration (read old → write new → flip → delete old):
+// Lifecycle of one migration (claim → read old → write new → flip →
+// reclaim old → release), under the engine's one ordering rule (see the
+// Engine struct): ops on a subgroup's key are submitted only by whoever
+// holds it, and aio runs them in submission order on each tier.
 //
-//	1. Under cacheMu: skip if the subgroup became host-resident, is
-//	   pinned (a fetch is in flight or imminent), or is already being
-//	   migrated; otherwise resolve from=loc, to=plan.TierFor and publish
-//	   a migrating ticket. From here the issuer waits on the ticket
-//	   before classifying the subgroup, so no fetch can target a tier
-//	   the migrator is about to abandon.
-//	2. Honor the subgroup's flush ticket: if an eviction flush to the
-//	   source tier is still in flight, wait until it is durable
-//	   (read-after-write on the tier, same ordering the issuer uses for
-//	   same-phase refetches).
-//	3. Copy: read the state object from the source tier and write it to
+//	1. Claim, under cacheMu: skip if the subgroup became host-resident,
+//	   is pinned (a fetch is in flight or imminent) or is held (another
+//	   migrator, or the committer still queueing its eviction);
+//	   otherwise resolve from=loc, to=plan.TierFor and take the hold.
+//	   From here the issuer waits for the release before classifying
+//	   the subgroup, so no fetch can target a tier the migrator is
+//	   about to abandon.
+//	2. Copy: read the state object from the source tier and write it to
 //	   the destination, both at Migration class, staged through one of
 //	   MigrationWindow pooled buffers (the bound on migration memory and
-//	   concurrency).
-//	4. Under cacheMu: flip loc to the destination and clear the ticket —
-//	   only after the copy landed, so a failure at any earlier point
-//	   leaves the source object authoritative and the subgroup simply
-//	   re-enqueues at the next replan.
-//	5. Delete the stale source object (best effort; a failed delete
-//	   orphans bytes but can never corrupt, and is counted).
+//	   concurrency). The read queues behind an eviction write still in
+//	   flight on the source, the write behind a reclaim still in flight
+//	   on the destination — by submission order, no waiting. Both are
+//	   waited, for the data and for durability.
+//	3. Flip loc to the destination under cacheMu — only after the copy
+//	   landed, so a failure at any earlier point leaves the source
+//	   object authoritative and the subgroup simply re-enqueues at the
+//	   next replan.
+//	4. Queue the reclaim of the stale source object (best effort; a
+//	   failed delete orphans bytes but can never corrupt, and is
+//	   counted), and only then release the hold: an eviction that later
+//	   writes this key back to the source tier is submitted after the
+//	   delete, so it runs after it.
+//
+// Step 4 is the rule's rationale. The migrator used to release before
+// submitting the delete; a tier-op trace of a failing convergence run
+// shows a descheduled migrator issuing it several phases later, right
+// after an eviction had written the same key back to that tier:
+// write-end tier1 … delete-begin tier1 … read → "key not found" — the
+// subgroup's only copy, deleted (a few runs in a hundred).
 //
 // Gradient objects are never migrated: they are per-iteration transients
 // whose location is tracked in gradLoc, and backward reclaims a stale
@@ -52,19 +65,13 @@ import (
 // record a consistent (possibly still partially un-converged) placement
 // and Restore stays bit-identical.
 
-// migrationTicket marks an in-flight cross-tier copy; done is closed when
-// loc has been flipped (or the migration abandoned).
-type migrationTicket struct {
-	done chan struct{}
-}
-
 // migStatsCell accumulates migrator counters.
 type migStatsCell struct {
 	mu        sync.Mutex
 	moves     int64
 	bytes     int64
 	abandoned int64
-	orphans   int64
+	orphans   map[string]struct{} // "tier/key" of every stale object left behind
 	firstErr  error
 }
 
@@ -77,7 +84,9 @@ type MigrationStats struct {
 	// fetched, pinned, evicted or re-planned before the copy started, or
 	// because the copy failed (the source object stays authoritative).
 	Abandoned int64
-	// Orphans counts stale source objects whose post-copy delete failed.
+	// Orphans counts the distinct stale objects left on a tier: state and
+	// gradient objects whose reclaiming delete failed, and live-key copies
+	// a drain found on a tier other than the subgroup's own.
 	Orphans int64
 	// Err is the first copy failure observed (nil when all clean).
 	Err error
@@ -91,7 +100,7 @@ func (e *Engine) MigrationStats() MigrationStats {
 		Moves:     e.migStats.moves,
 		Bytes:     e.migStats.bytes,
 		Abandoned: e.migStats.abandoned,
-		Orphans:   e.migStats.orphans,
+		Orphans:   int64(len(e.migStats.orphans)),
 		Err:       e.migStats.firstErr,
 	}
 }
@@ -209,10 +218,11 @@ func (e *Engine) migrator() {
 func (e *Engine) migrateOne(sg int) {
 	e.cacheMu.Lock()
 	from := e.loc[sg]
-	if from == locHost || e.migrating[sg] != nil || e.lru.Pinned(sg) {
+	if from == locHost || e.held[sg] || e.lru.Pinned(sg) {
 		// Host-resident (an eviction will already flush to the planned
-		// tier), mid-migration by another worker, or wanted by the update
-		// pipeline right now — in every case the move is moot or unsafe.
+		// tier), held by another migrator or the committer, or wanted by
+		// the update pipeline right now — in every case the move is moot
+		// or unsafe.
 		e.cacheMu.Unlock()
 		e.abandonMigration(nil)
 		return
@@ -222,39 +232,21 @@ func (e *Engine) migrateOne(sg int) {
 		e.cacheMu.Unlock()
 		return // converged since it was enqueued
 	}
-	tk := &migrationTicket{done: make(chan struct{})}
-	e.migrating[sg] = tk
+	e.held[sg] = true
 	e.cacheMu.Unlock()
+	defer e.release(sg)
 
-	err := e.copyState(sg, from, to)
-
-	e.cacheMu.Lock()
-	if err == nil {
-		e.loc[sg] = to
-	}
-	delete(e.migrating, sg)
-	e.cacheMu.Unlock()
-	close(tk.done)
-
-	if err != nil {
+	if err := e.copyState(sg, from, to); err != nil {
 		e.abandonMigration(fmt.Errorf("engine: migrate subgroup %d %s→%s: %w",
 			sg, e.names[from], e.names[to], err))
 		return
 	}
-
-	// The destination copy is authoritative; reclaim the source object.
-	// Failure here can only orphan bytes, never corrupt. Recorded as the
-	// subgroup's delete ticket and waited inline: a later eviction or
-	// migration writing this key back to the source tier orders behind it
-	// (phase-start waitDeletes, or the ticket wait in copyState).
-	if dop, derr := e.aios[from].SubmitDelete(aio.Migration, e.key(sg)); derr == nil {
-		e.recordDelete(sg, dop)
-		if dop.Wait() != nil {
-			e.countOrphan()
-		}
-	} else {
-		e.countOrphan()
-	}
+	e.cacheMu.Lock()
+	e.loc[sg] = to
+	e.cacheMu.Unlock()
+	// The destination copy is authoritative; reclaim the source object
+	// before the hold is released.
+	e.reclaim(aio.Migration, from, e.key(sg))
 
 	size := subgroup.StateBytes(e.shard.Subgroups[sg].Len())
 	e.migStats.mu.Lock()
@@ -268,33 +260,6 @@ func (e *Engine) migrateOne(sg int) {
 // priority. The write is waited before return, so the caller can flip loc
 // knowing the destination object is durable.
 func (e *Engine) copyState(sg, from, to int) error {
-	// Read-after-write: an eviction flush of this subgroup to the source
-	// tier may still be in flight; its ticket orders the migration read
-	// after the write is durable, exactly like a same-phase refetch.
-	e.mu.Lock()
-	ft := e.flushTickets[sg]
-	e.mu.Unlock()
-	if ft != nil {
-		<-ft.done
-		if ft.op == nil {
-			return fmt.Errorf("source flush failed to submit")
-		}
-		if err := ft.op.Wait(); err != nil {
-			return fmt.Errorf("source flush: %w", err)
-		}
-	}
-
-	// Delete-after-write hazard on the destination: a previous eviction or
-	// migration may still have a reclamation delete of this key in flight
-	// on the destination tier; the write must not land under it.
-	e.mu.Lock()
-	dt := e.deleteTickets[sg]
-	e.mu.Unlock()
-	if dt != nil {
-		//mlpvet:allow aioop ordering barrier only: the migration must not write under an in-flight delete; the delete's outcome is irrelevant
-		_ = dt.Wait()
-	}
-
 	size := subgroup.StateBytes(e.shard.Subgroups[sg].Len())
 	buf := e.migPool.Get()
 	defer e.migPool.Put(buf)
@@ -345,8 +310,11 @@ func (e *Engine) abandonMigration(err error) {
 	e.migStats.mu.Unlock()
 }
 
-func (e *Engine) countOrphan() {
+// countOrphan records a stale object left on a tier. The same object
+// reported twice — its delete failed, then a drain found it — is one
+// orphan.
+func (e *Engine) countOrphan(tier int, key string) {
 	e.migStats.mu.Lock()
-	e.migStats.orphans++
+	e.migStats.orphans[e.names[tier]+"/"+key] = struct{}{}
 	e.migStats.mu.Unlock()
 }

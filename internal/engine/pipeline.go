@@ -69,15 +69,6 @@ type updateItem struct {
 	done chan struct{}     // closed by the worker
 }
 
-// flushTicket orders a same-phase refetch after an eviction flush: the
-// issuer waits for done (and then the op) before submitting a read for a
-// subgroup whose flush may still be in flight. op is nil when the flush
-// failed to submit.
-type flushTicket struct {
-	done chan struct{}
-	op   *aio.Op
-}
-
 // phaseRun is the shared state of one update phase's pipeline.
 type phaseRun struct {
 	ctx    context.Context
@@ -120,31 +111,12 @@ func (e *Engine) updatePhase(it *metrics.Iteration) error {
 	e.step++
 
 	// Previous phase's lazy flushes and this phase's gradient objects must
-	// be durable before we fetch them back. The flush-ticket map is reset
-	// only *after* the flushes are waited: the live migrator keys its
-	// read-after-write ordering off those tickets, so an in-flight flush
-	// must stay discoverable until it is durable.
-	e.mu.Lock()
-	flushes := e.pendingFlush
-	e.pendingFlush = nil
-	e.mu.Unlock()
-	for _, op := range flushes {
-		if err := op.Wait(); err != nil {
-			return fmt.Errorf("engine: lazy flush failed: %w", err)
-		}
+	// have landed — without error — before we fetch them back: same-key
+	// order would run the fetch after a failed write just the same, and
+	// hand the update a stale object.
+	if err := e.settleWrites(); err != nil {
+		return err
 	}
-	e.mu.Lock()
-	e.flushTickets = make(map[int]*flushTicket)
-	e.mu.Unlock()
-	for _, op := range e.pendingGrads {
-		if err := op.Wait(); err != nil {
-			return fmt.Errorf("engine: gradient flush failed: %w", err)
-		}
-	}
-	e.pendingGrads = nil
-	// Reclamation deletes must land before this phase can write the same
-	// keys again (errors ignored — an orphan never corrupts).
-	e.waitDeletes()
 
 	run := &phaseRun{clip: clip}
 	run.ctx, run.cancel = context.WithCancel(context.Background())
@@ -244,8 +216,7 @@ func (e *Engine) recordAsyncOp(op *aio.Op) {
 // misses on the same tier and submits each run as one vectored read —
 // one scheduling decision and one device pass for the run, split into
 // per-member zero-copy buffer views. A run breaks on a cache hit, a
-// tier change, a pending flush ticket (read-after-write stays a
-// single-fetch concern), or the batch cap. Members of an unflushed run
+// tier change, or the batch cap. Members of an unflushed run
 // hold window slots but no fetch slots, and the cap never exceeds
 // PrefetchDepth, so batch assembly cannot exhaust the window the
 // committer needs to drain (inflight = PrefetchDepth + UpdateWorkers).
@@ -283,18 +254,14 @@ func (e *Engine) issueItems(run *phaseRun, order []int, window chan struct{}, wo
 		window <- struct{}{} // released by the committer
 		item := &updateItem{sgID: sgID, done: make(chan struct{})}
 		e.cacheMu.Lock()
-		// A subgroup mid-migration is between tiers: wait for the copy to
-		// land (or abort) so the fetch targets the object's real home. The
+		// Wait out a hold: a migrator moving the object between tiers, or
+		// the committer still queueing this subgroup's eviction. Once it
+		// is released loc names the object's real home and every op the
+		// holder submitted is ahead of our fetch on that tier. The
 		// migrator skips pinned subgroups, so once we pin below no new
 		// migration can start under this fetch.
-		for {
-			mt := e.migrating[sgID]
-			if mt == nil {
-				break
-			}
-			e.cacheMu.Unlock()
-			<-mt.done
-			e.cacheMu.Lock()
+		for e.held[sgID] {
+			e.heldCond.Wait()
 		}
 		//mlpvet:allow pinpair pinned for the whole fetch-update-commit pipeline; the committer unpins after flushEvicted
 		e.lru.Pin(sgID)
@@ -307,10 +274,7 @@ func (e *Engine) issueItems(run *phaseRun, order []int, window chan struct{}, wo
 			workCh <- item
 			continue
 		}
-		if maxRun > 1 && !e.hasFlushTicket(sgID) {
-			// Pinned and ticketless: no eviction (and so no new ticket)
-			// can appear under this subgroup until the committer unpins
-			// it, so the coalesced read has no write to order after.
+		if maxRun > 1 {
 			if len(batch) > 0 && tier != batchTier {
 				flush()
 			}
@@ -330,16 +294,6 @@ func (e *Engine) issueItems(run *phaseRun, order []int, window chan struct{}, wo
 		workCh <- item
 	}
 	flush()
-}
-
-// hasFlushTicket reports whether a same-phase eviction flush of sgID is
-// (or was) in flight — the read-after-write hazard that routes a fetch
-// down the single-object path, which waits the ticket out.
-func (e *Engine) hasFlushTicket(sgID int) bool {
-	e.mu.Lock()
-	_, ok := e.flushTickets[sgID]
-	e.mu.Unlock()
-	return ok
 }
 
 // issueCoalesced submits one run of adjacent same-tier misses. A
@@ -392,20 +346,6 @@ func (e *Engine) issueCoalesced(run *phaseRun, batch []*updateItem, tier int) {
 func (e *Engine) issueFetch(item *updateItem, tier int) error {
 	sgID := item.sgID
 	sg := e.shard.Subgroups[sgID]
-	// Read-after-write: if this phase evicted the subgroup earlier, its
-	// flush must be durable before the refetch is submitted.
-	e.mu.Lock()
-	tk := e.flushTickets[sgID]
-	e.mu.Unlock()
-	if tk != nil {
-		<-tk.done
-		if tk.op == nil {
-			return fmt.Errorf("engine: refetch of subgroup %d after failed flush", sgID)
-		}
-		if err := tk.op.Wait(); err != nil {
-			return fmt.Errorf("engine: flush before refetch of subgroup %d: %w", sgID, err)
-		}
-	}
 	e.fetchSem <- struct{}{} // PrefetchDepth bounds in-flight fetches
 	buf := e.fetchPool.Get()
 	size := subgroup.StateBytes(sg.Len())
@@ -720,7 +660,7 @@ func (e *Engine) commitItems(run *phaseRun, it *metrics.Iteration, window chan s
 
 		// Cache decision: most-recently-updated subgroups stay resident;
 		// displaced victims are lazily flushed to their (re)assigned tiers.
-		// loc, pins, eviction and ticket publication change atomically so
+		// loc, pins, eviction and the victims' holds change atomically so
 		// the issuer always sees a consistent residency picture.
 		e.cacheMu.Lock()
 		if !item.hit {
@@ -732,30 +672,28 @@ func (e *Engine) commitItems(run *phaseRun, it *metrics.Iteration, window chan s
 		}
 		e.lru.Unpin(item.sgID)
 		victims := e.lru.TouchEvict(item.sgID)
-		tickets := make([]*flushTicket, len(victims))
 		stales := make([]int, len(victims))
 		for i, v := range victims {
-			tickets[i] = &flushTicket{done: make(chan struct{})}
-			e.mu.Lock()
-			e.flushTickets[v] = tickets[i]
-			e.mu.Unlock()
+			e.held[v] = true
 			e.loc[v] = e.plan.TierFor(v)
 			stales[i] = e.staleTier[v]
 			e.staleTier[v] = -1
 		}
 		e.cacheMu.Unlock()
 		for i, v := range victims {
-			if err := e.flushEvicted(v, tickets[i], stales[i]); err != nil {
+			if err := e.flushEvicted(v, stales[i]); err != nil {
 				run.fail(err)
 			}
+			e.release(v)
 		}
 		<-window
 	}
 }
 
 // flushEvicted asynchronously flushes an evicted subgroup to the tier
-// already recorded in loc, fulfilling its ticket so a same-phase refetch
-// orders after the write. A state adopted over its fetched buffer
+// already recorded in loc. The committer holds the subgroup across the
+// call, so the write — and the reclaim of a stale copy — are queued ahead
+// of any later op on its key. A state adopted over its fetched buffer
 // (sg.Backing) is *already* serialized — the in-place update kept the
 // buffer the live serialized form — so the very same buffer is submitted
 // with no marshal pass and no staging copy; it returns to the fetch pool
@@ -763,13 +701,11 @@ func (e *Engine) commitItems(run *phaseRun, it *metrics.Iteration, window chan s
 // buffer as before. Either way the subgroup's state is freed immediately.
 // stale, when >= 0 and different from the destination, is a tier still
 // holding the subgroup's pre-update object; it is reclaimed so the object
-// lives on exactly one tier (a failed delete only orphans bytes, never
-// corrupts).
-func (e *Engine) flushEvicted(v int, tk *flushTicket, stale int) error {
+// lives on exactly one tier.
+func (e *Engine) flushEvicted(v int, stale int) error {
 	sg := e.shard.Subgroups[v]
 	tier := e.loc[v]
 	if sg.State == nil {
-		close(tk.done)
 		return fmt.Errorf("engine: flush of non-resident subgroup %d", v)
 	}
 	var buf []byte
@@ -785,36 +721,24 @@ func (e *Engine) flushEvicted(v int, tk *flushTicket, stale int) error {
 		if err != nil {
 			e.flushPool.Put(buf)
 			e.dropState(sg)
-			close(tk.done)
 			return err
 		}
 	}
 	op, err := e.aios[tier].SubmitWriteClass(aio.Flush, e.key(v), buf[:n])
 	if err != nil {
-		// The phase fails and the in-memory update is lost either way
-		// (the ticket carries no op, so a refetch fails too); drop the
-		// state so an adopted backing buffer returns to the fetch pool
-		// promptly instead of waiting for a later re-adoption.
+		// The phase fails and the in-memory update is lost either way;
+		// drop the state so an adopted backing buffer returns to the
+		// fetch pool promptly instead of waiting for a later re-adoption.
 		if !aliased {
 			e.flushPool.Put(buf)
 		}
 		e.dropState(sg)
-		close(tk.done)
 		return err
 	}
 	sg.State = nil
 	sg.Backing = nil
-	tk.op = op
-	close(tk.done)
 	if stale >= 0 && stale != tier {
-		// Tracked on pendingDeletes (not pendingFlush): the next phase
-		// start waits it — so no later write of this key can race a slow
-		// delete — but a failed delete must not fail the phase. The
-		// delete ticket orders a concurrent migration's destination write
-		// behind it.
-		if dop, derr := e.aios[stale].SubmitDelete(aio.Flush, e.key(v)); derr == nil {
-			e.recordDelete(v, dop)
-		}
+		e.reclaim(aio.Flush, stale, e.key(v))
 	}
 	name := e.names[tier]
 	nb := float64(n)
@@ -830,7 +754,7 @@ func (e *Engine) flushEvicted(v int, tk *flushTicket, stale int) error {
 		defer e.flushWG.Done()
 		if op.Wait() != nil {
 			putBuf()
-			return // error surfaces via pendingFlush/ticket waiters
+			return // error surfaces via pendingFlush at the phase barrier
 		}
 		secs := op.TransferTime().Seconds()
 		// Device bandwidth observes wire bytes (see processItem).

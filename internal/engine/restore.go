@@ -69,7 +69,9 @@ func (e *Engine) Restore(ctx context.Context, r *checkpoint.Reader, m checkpoint
 			}
 		}
 	}
-	if err := e.drain(); err != nil {
+	// Not drain: Restore is the recovery from a lost object, so it must not
+	// insist that the residency it is about to discard be intact.
+	if err := e.quiesce(); err != nil {
 		return err
 	}
 
@@ -216,17 +218,12 @@ func (e *Engine) restoreSubgroup(ctx context.Context, r *checkpoint.Reader, ent 
 // reclaimLiveKey deletes the subgroup's live-key object from every tier
 // except keep (pass locHost to reclaim all): the pre-crash run may have
 // left copies under a different placement, and restore re-establishes the
-// one-object-one-tier invariant. Deletes are synchronous (restore is not
-// a hot path), best-effort (a survivor orphans bytes, never corrupts),
-// and must not touch step-tagged snapshot keys — only the live key.
+// one-object-one-tier invariant. It must not touch step-tagged snapshot
+// keys — only the live key.
 func (e *Engine) reclaimLiveKey(sgID, keep int) {
 	for ti := range e.aios {
-		if ti == keep {
-			continue
-		}
-		if op, err := e.aios[ti].SubmitDelete(aio.Flush, e.key(sgID)); err == nil {
-			//mlpvet:allow aioop best-effort reclamation; a failed delete orphans bytes, never corrupts (see function comment)
-			_ = op.Wait()
+		if ti != keep {
+			e.reclaim(aio.Flush, ti, e.key(sgID))
 		}
 	}
 }

@@ -45,9 +45,10 @@ var ErrTierDown = errors.New("storage: tier down")
 // Tier on a node (TestFourWorkersSharedNode). Concurrent operations on
 // distinct keys must not interfere; concurrent operations on the same key
 // must each behave atomically (a Read observes some complete previously
-// written object, never a torn mix). Ordering between a concurrent Read
-// and Write of one key is the caller's responsibility — the engine orders
-// a refetch after its eviction flush explicitly.
+// written object, never a torn mix). A tier does not order concurrent
+// operations on one key; the aio engine in front of it does — it executes
+// the operations on one key in submission order (package aio, "Same-key
+// order"), which is what puts a refetch after its eviction flush.
 type Tier interface {
 	// Name identifies the tier (e.g. "nvme", "pfs").
 	Name() string
