@@ -159,10 +159,29 @@ type Engine struct {
 	partialNorms []float64
 }
 
-// New constructs and initializes an engine: the shard is created, the
-// initial placement computed, and every subgroup's optimizer state flushed
-// to its assigned tier (the paper's initialization step).
+// New constructs an engine and offloads its initial optimizer state: the
+// shard is created, the initial placement computed, and every subgroup's
+// initial object — InitParams as master parameters, zero moments —
+// written to its planned tier. The objects stream through the fetch
+// pool, so host memory never holds the shard's FP32 state (see
+// initialOffload). New returns once every write has landed; on failure
+// it closes the engine.
 func New(cfg Config) (*Engine, error) {
+	e, err := newEngine(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.initialOffload(); err != nil {
+		e.Close()
+		return nil, err
+	}
+	return e, nil
+}
+
+// newEngine constructs an engine whose subgroups have no stored object
+// yet: each needs its initial offload (New) or a Restore (NewRestored)
+// before the engine trains.
+func newEngine(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -188,7 +207,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.KernelWorkers > 1 {
 		e.kern = kernpool.New(cfg.KernelWorkers)
 	}
-	e.shard = subgroup.NewShard(cfg.Rank, cfg.Params, cfg.SubgroupParams, cfg.InitParams)
+	e.shard = subgroup.NewShard(cfg.Rank, cfg.Params, cfg.SubgroupParams)
 	m := len(e.shard.Subgroups)
 
 	maxLen := e.shard.MaxSubgroupLen()
@@ -210,7 +229,9 @@ func New(cfg Config) (*Engine, error) {
 		resident = m
 	}
 	e.fetchPool = hostcache.NewBufferPoolLazy(inflight+resident+2, stateBuf)
-	e.flushPool = hostcache.NewBufferPool(2, stateBuf)
+	// Only the copying fallback (a state that could not alias its fetched
+	// buffer) marshals through the flush pool, so its buffers are lazy too.
+	e.flushPool = hostcache.NewBufferPoolLazy(2, stateBuf)
 	e.gradPool = hostcache.NewBufferPool(inflight+cfg.UpdateWorkers+1, 4*maxLen)
 	e.fetchSem = make(chan struct{}, cfg.PrefetchDepth)
 
@@ -257,7 +278,6 @@ func New(cfg Config) (*Engine, error) {
 	var off int64
 	for i, sg := range e.shard.Subgroups {
 		e.sgOffset[i] = off
-		fp16.EncodeOn(e.kern, e.params16[off:off+int64(sg.Len())], sg.State.Params)
 		off += int64(sg.Len())
 	}
 	if cfg.D2HBandwidth > 0 {
@@ -268,15 +288,86 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.partialNorms = make([]float64, m)
 	e.series.Warmup = 2
+	return e, nil
+}
 
-	// Initial offload: flush every subgroup to its planned tier.
+// initialOffload writes every subgroup's initial object to its planned
+// tier (the paper's initialization step) without building the shard in
+// host memory. Subgroup by subgroup, the master parameters are generated
+// into the grad32 scratch, the FP16 working copy is encoded from them,
+// and the object is serialized into a fetch-pool buffer that an
+// asynchronous Flush-class write then owns until it lands. Both tiers
+// fill at once, and the pool quota bounds the objects in flight. On
+// success every write has landed; on failure the writes still in flight
+// are waited by the Close that New runs (their buffer returns ride
+// flushWG).
+func (e *Engine) initialOffload() error {
+	var writes []*aio.Op
 	for i, sg := range e.shard.Subgroups {
-		if err := e.flushSync(i, sg); err != nil {
-			e.Close()
-			return nil, fmt.Errorf("engine: initial offload of subgroup %d: %w", i, err)
+		n := sg.Len()
+		off := e.sgOffset[i]
+		p := e.grad32[:n]
+		if init := e.cfg.InitParams; init != nil {
+			for j := range p {
+				p[j] = init(off + int64(j))
+			}
+		} else {
+			clear(p)
+		}
+		fp16.EncodeOn(e.kern, e.params16[off:off+int64(n)], p)
+		buf := e.fetchPool.Get()
+		size, err := sg.MarshalInit(buf, p)
+		if err != nil {
+			e.fetchPool.Put(buf)
+			return fmt.Errorf("engine: initial offload of subgroup %d: %w", i, err)
+		}
+		tier := e.plan.TierFor(i)
+		op, err := e.writePooled(tier, i, buf, size)
+		if err != nil {
+			return fmt.Errorf("engine: initial offload of subgroup %d: %w", i, err)
+		}
+		e.loc[i] = tier
+		writes = append(writes, op)
+	}
+	var first error
+	for i, op := range writes {
+		if err := op.Wait(); err != nil && first == nil {
+			first = fmt.Errorf("engine: initial offload of subgroup %d: %w", i, err)
 		}
 	}
-	return e, nil
+	return first
+}
+
+// writePooled submits buf[:size], a fetch-pool buffer holding subgroup
+// i's serialized state, as an asynchronous Flush-class write of i's live
+// key to tier. The write owns buf from here: it returns to the fetch pool
+// when the write lands, also when submission fails. The caller must wait
+// the returned op for its error.
+func (e *Engine) writePooled(tier, i int, buf []byte, size int) (*aio.Op, error) {
+	op, err := e.aios[tier].SubmitWriteClass(aio.Flush, e.key(i), buf[:size])
+	if err != nil {
+		e.fetchPool.Put(buf)
+		return nil, err
+	}
+	e.flushWG.Add(1)
+	go func() {
+		defer e.flushWG.Done()
+		//mlpvet:allow aioop completion only gates the buffer return; the op is returned and the caller collects the error
+		_ = op.Wait()
+		e.fetchPool.Put(buf)
+	}()
+	return op, nil
+}
+
+// waitOps waits every op and returns the first failure.
+func waitOps(ops []*aio.Op) error {
+	var first error
+	for _, op := range ops {
+		if err := op.Wait(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // bandwidths materializes the estimator's view of the tiers.
@@ -401,8 +492,8 @@ func (e *Engine) d2hTransfer(bytes int64) {
 }
 
 // flushSync serializes subgroup i's state and writes it synchronously,
-// releasing the in-memory state. Used during initialization and restore
-// evictions. A state aliasing its fetched buffer (sg.Backing) is
+// releasing the in-memory state: Restore's evictions of host-cache
+// overflow. A state aliasing its fetched buffer (sg.Backing) is
 // already serialized — the buffer is written as-is and returned to the
 // fetch pool, no marshal pass at all.
 func (e *Engine) flushSync(i int, sg *subgroup.Subgroup) error {
@@ -665,15 +756,11 @@ func (e *Engine) settleWrites() error {
 	e.pendingFlush = nil
 	e.mu.Unlock()
 	var firstErr error
-	for _, op := range flushes {
-		if err := op.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("engine: lazy flush failed: %w", err)
-		}
+	if err := waitOps(flushes); err != nil {
+		firstErr = fmt.Errorf("engine: lazy flush failed: %w", err)
 	}
-	for _, op := range e.pendingGrads {
-		if err := op.Wait(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("engine: gradient flush failed: %w", err)
-		}
+	if err := waitOps(e.pendingGrads); err != nil && firstErr == nil {
+		firstErr = fmt.Errorf("engine: gradient flush failed: %w", err)
 	}
 	e.pendingGrads = nil
 	return firstErr

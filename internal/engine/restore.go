@@ -100,28 +100,19 @@ func (e *Engine) Restore(ctx context.Context, r *checkpoint.Reader, m checkpoint
 	// window (a staging buffer returns to the pool only when its write
 	// lands). All writes are verified before Restore returns.
 	var writes []*aio.Op
-	waitWrites := func() error {
-		var firstErr error
-		for _, op := range writes {
-			if err := op.Wait(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("engine: restore flush: %w", err)
-			}
-		}
-		return firstErr
-	}
 	for _, sgID := range order {
 		ent, _ := m.Entry(sgID) // dense per Validate
 		op, err := e.restoreSubgroup(ctx, r, ent)
 		if err != nil {
-			_ = waitWrites() // no in-flight work may outlive the call
+			_ = waitOps(writes) // no in-flight work may outlive the call
 			return err
 		}
 		if op != nil {
 			writes = append(writes, op)
 		}
 	}
-	if err := waitWrites(); err != nil {
-		return err
+	if err := waitOps(writes); err != nil {
+		return fmt.Errorf("engine: restore flush: %w", err)
 	}
 
 	e.step = m.AdamStep
@@ -177,7 +168,7 @@ func (e *Engine) restoreSubgroup(ctx context.Context, r *checkpoint.Reader, ent 
 			return nil, fmt.Errorf("engine: restore subgroup %d: %w", sgID, err)
 		}
 		off := e.sgOffset[sgID]
-		fp16.Encode(e.params16[off:off+int64(sg.Len())], sg.State.Params)
+		fp16.EncodeOn(e.kern, e.params16[off:off+int64(sg.Len())], sg.State.Params)
 		e.loc[sgID] = locHost
 		e.reclaimLiveKey(sgID, locHost)
 		for _, v := range e.lru.TouchEvict(sgID) {
@@ -198,18 +189,12 @@ func (e *Engine) restoreSubgroup(ctx context.Context, r *checkpoint.Reader, ent 
 		return nil, fmt.Errorf("engine: restore subgroup %d: %w", sgID, err)
 	}
 	off := e.sgOffset[sgID]
-	fp16.Encode(e.params16[off:off+int64(sg.Len())], p32)
+	fp16.EncodeOn(e.kern, e.params16[off:off+int64(sg.Len())], p32)
 	tier := e.plan.TierFor(sgID)
-	op, err := e.aios[tier].SubmitWriteClass(aio.Flush, e.key(sgID), buf[:size])
+	op, err := e.writePooled(tier, sgID, buf, size)
 	if err != nil {
-		e.fetchPool.Put(buf)
 		return nil, fmt.Errorf("engine: restore flush of subgroup %d: %w", sgID, err)
 	}
-	go func() {
-		//mlpvet:allow aioop completion only gates the buffer return; the op is returned and the caller collects the error
-		_ = op.Wait()
-		e.fetchPool.Put(buf)
-	}()
 	e.loc[sgID] = tier
 	e.reclaimLiveKey(sgID, tier)
 	return op, nil

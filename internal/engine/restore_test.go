@@ -326,9 +326,9 @@ func TestCheckpointFailsOnFailedEvictionFlush(t *testing.T) {
 	boom := errors.New("flush died")
 	ft := &storage.FaultTier{
 		Tier: storage.NewMemTier("t"),
-		// Writes: 10 synchronous initial offloads, then 7 async eviction
-		// flushes during iteration 0's update phase; the 17th write — one
-		// of the eviction flushes — fails.
+		// Writes: 10 initial offloads (all landed when New returns), then 7
+		// async eviction flushes during iteration 0's update phase; the 17th
+		// write — one of the eviction flushes — fails.
 		FailEvery:  17,
 		Err:        boom,
 		FailWrites: true,

@@ -119,12 +119,7 @@ func (s *Subgroup) Marshal(dst []byte, withGrads32 bool) (int, error) {
 	if len(dst) < want {
 		return 0, fmt.Errorf("subgroup %d: dst %d < needed %d", s.ID, len(dst), want)
 	}
-	le := binary.LittleEndian
-	le.PutUint32(dst[0:], Magic)
-	le.PutUint16(dst[4:], Version)
-	le.PutUint16(dst[6:], flags)
-	le.PutUint32(dst[8:], uint32(s.ID))
-	le.PutUint32(dst[12:], uint32(n))
+	s.putHeader(dst, flags)
 	off := HeaderSize
 	off = putF32(dst, off, s.State.Params)
 	off = putF32(dst, off, s.State.M)
@@ -133,6 +128,36 @@ func (s *Subgroup) Marshal(dst []byte, withGrads32 bool) (int, error) {
 		off = putF32(dst, off, s.Grads32)
 	}
 	return off, nil
+}
+
+// MarshalInit writes the subgroup's initial object into dst — master
+// parameters params (len == Len()) and zero moments — without a State:
+// the bytes Marshal(dst, false) writes for a fresh state holding those
+// parameters. The moments are cleared explicitly, so dst may be a
+// recycled buffer. It returns the number of bytes written.
+func (s *Subgroup) MarshalInit(dst []byte, params []float32) (int, error) {
+	n := s.Len()
+	if len(params) != n {
+		return 0, fmt.Errorf("subgroup %d: params %d != %d", s.ID, len(params), n)
+	}
+	want := StateBytes(n)
+	if len(dst) < want {
+		return 0, fmt.Errorf("subgroup %d: dst %d < needed %d", s.ID, len(dst), want)
+	}
+	s.putHeader(dst, 0)
+	off := putF32(dst, HeaderSize, params)
+	clear(dst[off:want])
+	return want, nil
+}
+
+// putHeader writes the serialized header for this subgroup.
+func (s *Subgroup) putHeader(dst []byte, flags uint16) {
+	le := binary.LittleEndian
+	le.PutUint32(dst[0:], Magic)
+	le.PutUint16(dst[4:], Version)
+	le.PutUint16(dst[6:], flags)
+	le.PutUint32(dst[8:], uint32(s.ID))
+	le.PutUint32(dst[12:], uint32(s.Len()))
 }
 
 // validateHeader checks src's serialized header against this subgroup
@@ -289,30 +314,23 @@ type Shard struct {
 }
 
 // NewShard splits params parameters of rank into subgroups of size
-// subgroupParams (the last subgroup may be smaller). Parameters are
-// initialized by init(globalIndex) when non-nil.
-func NewShard(rank int, params int64, subgroupParams int64, initFn func(i int64) float32) *Shard {
+// subgroupParams (the last subgroup may be smaller). The subgroups carry
+// their ID, length and FP16 gradient buffer but no optimizer state
+// (State == nil): the shard's FP32 state is the part that does not fit
+// in host memory, so its owner writes each subgroup's initial object
+// (MarshalInit) straight to storage instead.
+func NewShard(rank int, params int64, subgroupParams int64) *Shard {
 	if params < 0 || subgroupParams <= 0 {
 		panic("subgroup: invalid shard dimensions")
 	}
 	count := int((params + subgroupParams - 1) / subgroupParams)
 	sh := &Shard{Rank: rank, Subgroups: make([]*Subgroup, count)}
-	var global int64
 	for i := 0; i < count; i++ {
 		n := subgroupParams
 		if rem := params - int64(i)*subgroupParams; rem < n {
 			n = rem
 		}
-		sg := New(i, int(n))
-		if initFn != nil {
-			for j := 0; j < int(n); j++ {
-				sg.State.Params[j] = initFn(global)
-				global++
-			}
-		} else {
-			global += n
-		}
-		sh.Subgroups[i] = sg
+		sh.Subgroups[i] = &Subgroup{ID: i, Grads16: make([]fp16.Bits, n)}
 	}
 	return sh
 }

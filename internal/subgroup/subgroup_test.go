@@ -1,6 +1,7 @@
 package subgroup
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -146,7 +147,7 @@ func TestKeyFormat(t *testing.T) {
 }
 
 func TestNewShardSplitting(t *testing.T) {
-	sh := NewShard(0, 1050, 100, nil)
+	sh := NewShard(0, 1050, 100)
 	if len(sh.Subgroups) != 11 {
 		t.Fatalf("subgroups = %d, want 11", len(sh.Subgroups))
 	}
@@ -161,16 +162,51 @@ func TestNewShardSplitting(t *testing.T) {
 	}
 }
 
+// TestNewShardInit: a new shard holds no optimizer state, and the
+// initial object MarshalInit writes for each subgroup — into a dirty
+// recycled buffer — is byte-identical to marshalling a fresh State with
+// the same master parameters.
 func TestNewShardInit(t *testing.T) {
-	sh := NewShard(1, 10, 4, func(i int64) float32 { return float32(i) })
-	want := float32(0)
+	sh := NewShard(1, 10, 4)
+	dirty := make([]byte, StateBytes(4)+8)
+	var global int64
 	for _, sg := range sh.Subgroups {
-		for _, p := range sg.State.Params {
-			if p != want {
-				t.Fatalf("param = %v, want %v", p, want)
-			}
-			want++
+		if sg.State != nil {
+			t.Fatalf("subgroup %d: NewShard built optimizer state", sg.ID)
 		}
+		params := make([]float32, sg.Len())
+		for j := range params {
+			params[j] = float32(global)
+			global++
+		}
+		for i := range dirty {
+			dirty[i] = 0xA5
+		}
+		n, err := sg.MarshalInit(dirty, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := New(sg.ID, sg.Len())
+		copy(ref.State.Params, params)
+		want := make([]byte, StateBytes(sg.Len()))
+		if _, err := ref.Marshal(want, false); err != nil {
+			t.Fatal(err)
+		}
+		if n != len(want) || !bytes.Equal(dirty[:n], want) {
+			t.Fatalf("subgroup %d: MarshalInit wrote %d bytes differing from Marshal's %d", sg.ID, n, len(want))
+		}
+		if sg.State != nil {
+			t.Fatalf("subgroup %d: MarshalInit materialized a State", sg.ID)
+		}
+	}
+	if global != 10 {
+		t.Fatalf("shard covers %d params, want 10", global)
+	}
+	if _, err := sh.Subgroups[0].MarshalInit(dirty, make([]float32, 3)); err == nil {
+		t.Error("MarshalInit accepted a params slice of the wrong length")
+	}
+	if _, err := sh.Subgroups[0].MarshalInit(dirty[:StateBytes(4)-1], make([]float32, 4)); err == nil {
+		t.Error("MarshalInit accepted a short buffer")
 	}
 }
 
@@ -180,7 +216,7 @@ func TestNewShardValidation(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewShard(0, 100, 0, nil)
+	NewShard(0, 100, 0)
 }
 
 func TestPropertyRoundTrip(t *testing.T) {

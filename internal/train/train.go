@@ -46,28 +46,42 @@ type Node struct {
 }
 
 // NewNode constructs all worker engines. Construction offloads every
-// worker's initial optimizer state to the tiers.
+// worker's initial optimizer state to the tiers; the workers are
+// independent processes in the paper's deployment, so their engines are
+// built concurrently (Mutate still runs rank by rank, before any of
+// them). If any construction fails, every engine built is closed.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Workers <= 0 {
 		return nil, fmt.Errorf("train: Workers must be positive, got %d", cfg.Workers)
 	}
 	n := &Node{cfg: cfg, locks: tierlock.NewManager(cfg.MLP)}
-	for rank := 0; rank < cfg.Workers; rank++ {
-		var ec engine.Config
+	ecs := make([]engine.Config, cfg.Workers)
+	for rank := range ecs {
 		if cfg.MLP {
-			ec = engine.MLPConfig(rank, cfg.ParamsPerWorker, cfg.SubgroupParams, cfg.Tiers, n.locks)
+			ecs[rank] = engine.MLPConfig(rank, cfg.ParamsPerWorker, cfg.SubgroupParams, cfg.Tiers, n.locks)
 		} else {
-			ec = engine.BaselineConfig(rank, cfg.ParamsPerWorker, cfg.SubgroupParams, cfg.Tiers)
+			ecs[rank] = engine.BaselineConfig(rank, cfg.ParamsPerWorker, cfg.SubgroupParams, cfg.Tiers)
 		}
 		if cfg.Mutate != nil {
-			cfg.Mutate(rank, &ec)
+			cfg.Mutate(rank, &ecs[rank])
 		}
-		e, err := engine.New(ec)
+	}
+	n.engines = make([]*engine.Engine, cfg.Workers)
+	errs := make([]error, cfg.Workers)
+	var wg sync.WaitGroup
+	for rank, ec := range ecs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n.engines[rank], errs[rank] = engine.New(ec)
+		}()
+	}
+	wg.Wait()
+	for rank, err := range errs {
 		if err != nil {
 			n.Close()
 			return nil, fmt.Errorf("train: worker %d: %w", rank, err)
 		}
-		n.engines = append(n.engines, e)
 	}
 	return n, nil
 }

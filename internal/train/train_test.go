@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/datastates/mlpoffload/internal/checkpoint"
@@ -29,6 +31,62 @@ func TestNodeValidation(t *testing.T) {
 	}
 	if _, err := NewNode(NodeConfig{Workers: 1, ParamsPerWorker: 0, SubgroupParams: 10, Tiers: nodeTiers(1)}); err == nil {
 		t.Error("zero params accepted")
+	}
+}
+
+// TestNewNodeConcurrentConstruction: the workers' engines are built
+// concurrently, yet Mutate still runs rank by rank, Workers() stays in
+// rank order, and a construction failure on one rank closes every engine
+// the others built (their aio workers exit).
+func TestNewNodeConcurrentConstruction(t *testing.T) {
+	const workers = 4
+	var mutated []int
+	cfg := NodeConfig{
+		Workers: workers, ParamsPerWorker: 300, SubgroupParams: 60,
+		Tiers: nodeTiers(1000, 600), MLP: true,
+		Mutate: func(rank int, c *engine.Config) {
+			mutated = append(mutated, rank)
+			c.InitParams = func(int64) float32 { return float32(rank) }
+		},
+	}
+	n, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rank := range mutated {
+		if rank != i {
+			t.Fatalf("Mutate ran for ranks %v, want 0..%d in order", mutated, workers-1)
+		}
+	}
+	dst := make([]float32, cfg.ParamsPerWorker)
+	for rank, e := range n.Workers() {
+		if err := e.GatherParams(dst); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range dst {
+			if p != float32(rank) {
+				t.Fatalf("Workers()[%d] param %d = %v: engine of rank %v", rank, i, p, p)
+			}
+		}
+	}
+	n.Close()
+
+	before := runtime.NumGoroutine()
+	cfg.Mutate = func(rank int, c *engine.Config) {
+		if rank == 2 {
+			c.HostCacheSlots = -1
+		}
+	}
+	if _, err := NewNode(cfg); err == nil || !strings.Contains(err.Error(), "worker 2") {
+		t.Fatalf("NewNode with an invalid rank 2: err = %v, want worker 2's failure", err)
+	}
+	// Close returns once the aio workers are done; yield until they have
+	// also exited.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 1_000_000 {
+			t.Fatalf("goroutines: %d before, %d after a failed NewNode — an engine was left open", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
 	}
 }
 
