@@ -12,9 +12,12 @@
 //   - Proc: a simulated process with Sleep/Now,
 //   - Mutex: a FIFO exclusive resource (models the paper's node-level
 //     process-exclusive tier access),
-//   - Semaphore: counted resource (models bounded host buffer slots),
+//   - Event and Barrier: completion signals and iteration-boundary
+//     synchronization,
 //   - Link: a processor-sharing bandwidth resource with a contention
-//     efficiency curve (models NVMe/PFS/PCIe under concurrent streams).
+//     efficiency curve (models NVMe/PFS/PCIe under concurrent streams),
+//   - Sched: a class-priority queue with a bounded pool of service
+//     processes (models the aio engine object in front of each tier).
 package des
 
 import (
@@ -136,21 +139,6 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnAt is Spawn with a start delay.
-func (s *Sim) SpawnAt(delay float64, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, wake: make(chan struct{})}
-	s.live++
-	go func() {
-		<-p.wake
-		fn(p)
-		s.live--
-		delete(s.blocked, p)
-		s.yield <- struct{}{}
-	}()
-	s.schedule(delay, func() { s.runProc(p) })
-	return p
-}
-
 // runProc hands the baton to p and waits until p parks or finishes.
 // Must be called from scheduler context (inside an event fn).
 func (s *Sim) runProc(p *Proc) {
@@ -232,16 +220,6 @@ func (m *Mutex) Lock(p *Proc) {
 	m.waitTime += m.sim.now - t0
 }
 
-// TryLock acquires the mutex if free, reporting success.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.holder == nil {
-		m.acquires++
-		m.holder = p
-		return true
-	}
-	return false
-}
-
 // Unlock releases the mutex. Granting to the next waiter happens via a
 // zero-delay event so the releaser keeps running first (FIFO, deterministic).
 func (m *Mutex) Unlock(p *Proc) {
@@ -264,55 +242,5 @@ func (m *Mutex) Holder() *Proc { return m.holder }
 // TotalWait returns the accumulated simulated time processes spent queued.
 func (m *Mutex) TotalWait() float64 { return m.waitTime }
 
-// Acquires returns the number of Lock/TryLock grants attempted.
+// Acquires returns the number of Lock calls.
 func (m *Mutex) Acquires() int64 { return m.acquires }
-
-// Semaphore is a counted FIFO resource, used for bounded host buffer slots
-// (e.g. "host memory can hold K subgroups at a time").
-type Semaphore struct {
-	sim     *Sim
-	avail   int
-	waiters []semWaiter
-}
-
-type semWaiter struct {
-	p *Proc
-	n int
-}
-
-// NewSemaphore creates a semaphore with n initial permits.
-func (s *Sim) NewSemaphore(n int) *Semaphore {
-	if n < 0 {
-		panic("des: negative semaphore capacity")
-	}
-	return &Semaphore{sim: s, avail: n}
-}
-
-// Acquire takes n permits, parking until available. FIFO: a large waiter at
-// the head blocks later small waiters (no starvation).
-func (sem *Semaphore) Acquire(p *Proc, n int) {
-	if n <= 0 {
-		return
-	}
-	if len(sem.waiters) == 0 && sem.avail >= n {
-		sem.avail -= n
-		return
-	}
-	sem.waiters = append(sem.waiters, semWaiter{p, n})
-	p.park("semaphore")
-}
-
-// Release returns n permits and wakes eligible waiters in order.
-func (sem *Semaphore) Release(n int) {
-	sem.avail += n
-	for len(sem.waiters) > 0 && sem.avail >= sem.waiters[0].n {
-		w := sem.waiters[0]
-		sem.waiters = sem.waiters[1:]
-		sem.avail -= w.n
-		wp := w.p
-		sem.sim.schedule(0, func() { sem.sim.runProc(wp) })
-	}
-}
-
-// Available returns the current number of free permits.
-func (sem *Semaphore) Available() int { return sem.avail }

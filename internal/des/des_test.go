@@ -10,6 +10,14 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// spawnAt starts fn as a process that begins delay seconds from now.
+func spawnAt(s *Sim, delay float64, name string, fn func(p *Proc)) {
+	s.Spawn(name, func(p *Proc) {
+		p.Sleep(delay)
+		fn(p)
+	})
+}
+
 func TestSleepAdvancesClock(t *testing.T) {
 	s := New()
 	var end float64
@@ -37,7 +45,7 @@ func TestSpawnAtAndInterleaving(t *testing.T) {
 		p.Sleep(2)
 		log("a2", p)
 	})
-	s.SpawnAt(1, "b", func(p *Proc) {
+	spawnAt(s, 1, "b", func(p *Proc) {
 		log("b1", p)
 		p.Sleep(2)
 		log("b3", p)
@@ -86,7 +94,7 @@ func TestMutexExclusionAndFIFO(t *testing.T) {
 	var order []string
 	for i := 0; i < 3; i++ {
 		i := i
-		s.SpawnAt(float64(i)*0.1, fmt.Sprintf("w%d", i), func(p *Proc) {
+		spawnAt(s, float64(i)*0.1, fmt.Sprintf("w%d", i), func(p *Proc) {
 			m.Lock(p)
 			order = append(order, fmt.Sprintf("%s@%.2f", p.Name(), p.Now()))
 			p.Sleep(1)
@@ -105,32 +113,6 @@ func TestMutexExclusionAndFIFO(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	s := New()
-	m := s.NewMutex()
-	var got []bool
-	s.Spawn("a", func(p *Proc) {
-		got = append(got, m.TryLock(p))
-		p.Sleep(1)
-		m.Unlock(p)
-	})
-	s.SpawnAt(0.5, "b", func(p *Proc) {
-		got = append(got, m.TryLock(p)) // held by a -> false
-		p.Sleep(1)
-		got = append(got, m.TryLock(p)) // free at t=1.5 -> true
-		m.Unlock(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []bool{true, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("TryLock results = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestUnlockByNonHolderPanics(t *testing.T) {
 	s := New()
 	m := s.NewMutex()
@@ -144,68 +126,6 @@ func TestUnlockByNonHolderPanics(t *testing.T) {
 		m.Unlock(p)
 	})
 	_ = s.Run()
-}
-
-func TestSemaphoreBoundsConcurrency(t *testing.T) {
-	s := New()
-	sem := s.NewSemaphore(2)
-	inside := 0
-	peak := 0
-	for i := 0; i < 6; i++ {
-		s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			sem.Acquire(p, 1)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(1)
-			inside--
-			sem.Release(1)
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Errorf("peak concurrency = %d, want 2", peak)
-	}
-	if s.Now() != 3.0 {
-		t.Errorf("end time = %v, want 3 (6 procs / 2 slots * 1s)", s.Now())
-	}
-	if sem.Available() != 2 {
-		t.Errorf("available = %d, want 2", sem.Available())
-	}
-}
-
-func TestSemaphoreFIFOLargeWaiterNotStarved(t *testing.T) {
-	s := New()
-	sem := s.NewSemaphore(2)
-	var order []string
-	s.Spawn("hold", func(p *Proc) {
-		sem.Acquire(p, 2)
-		p.Sleep(1)
-		sem.Release(2)
-	})
-	s.SpawnAt(0.1, "big", func(p *Proc) {
-		sem.Acquire(p, 2)
-		order = append(order, fmt.Sprintf("big@%.1f", p.Now()))
-		p.Sleep(1)
-		sem.Release(2)
-	})
-	s.SpawnAt(0.2, "small", func(p *Proc) {
-		sem.Acquire(p, 1)
-		order = append(order, fmt.Sprintf("small@%.1f", p.Now()))
-		sem.Release(1)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// FIFO: big (queued first) must be served before small even though
-	// small's request could have been satisfied earlier.
-	want := "big@1.0 small@2.0"
-	if got := strings.Join(order, " "); got != want {
-		t.Errorf("order = %q, want %q", got, want)
-	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
@@ -278,7 +198,7 @@ func TestLinkLateArrivalSharing(t *testing.T) {
 		l.Transfer(p, 100)
 		aEnd = p.Now()
 	})
-	s.SpawnAt(0.5, "b", func(p *Proc) {
+	spawnAt(s, 0.5, "b", func(p *Proc) {
 		l.Transfer(p, 100)
 		bEnd = p.Now()
 	})
@@ -297,7 +217,7 @@ func TestLinkInterferenceCurve(t *testing.T) {
 	// With alpha=0.25 and 2 streams, aggregate = 100*1/1.25 = 80, each
 	// stream gets 40 B/s. Two 80B transfers -> 2s each.
 	s := New()
-	l := s.NewLink("x", 100, Interference(0.25))
+	l := s.NewLink("x", 100, CappedInterference(0.25, 2))
 	var d1, d2 float64
 	s.Spawn("a", func(p *Proc) { d1 = l.Transfer(p, 80) })
 	s.Spawn("b", func(p *Proc) { d2 = l.Transfer(p, 80) })
@@ -319,7 +239,7 @@ func TestLinkSetPeakMidTransfer(t *testing.T) {
 		l.Transfer(p, 200)
 		end = p.Now()
 	})
-	s.SpawnAt(1, "ctl", func(p *Proc) {
+	spawnAt(s, 1, "ctl", func(p *Proc) {
 		l.SetPeak(50)
 	})
 	if err := s.Run(); err != nil {
@@ -341,7 +261,7 @@ func TestLinkConservation(t *testing.T) {
 			size := float64(raw%5000) + 1
 			total += size
 			delay := float64(i) * float64(stagger%10) * 0.01
-			s.SpawnAt(delay, fmt.Sprintf("p%d", i), func(p *Proc) {
+			spawnAt(s, delay, fmt.Sprintf("p%d", i), func(p *Proc) {
 				l.Transfer(p, size)
 			})
 		}
@@ -366,7 +286,7 @@ func TestLinkExclusiveViaMutexFasterPerOp(t *testing.T) {
 	// efficiency penalty.
 	run := func(exclusive bool) float64 {
 		s := New()
-		l := s.NewLink("nvme", 100, Interference(0.5))
+		l := s.NewLink("nvme", 100, CappedInterference(0.5, 4))
 		m := s.NewMutex()
 		for i := 0; i < 4; i++ {
 			s.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -426,7 +346,7 @@ func BenchmarkSimThroughput(b *testing.B) {
 	// Measures scheduler overhead: many procs ping-ponging sleeps.
 	for i := 0; i < b.N; i++ {
 		s := New()
-		l := s.NewLink("x", 1e9, Interference(0.1))
+		l := s.NewLink("x", 1e9, CappedInterference(0.1, 8))
 		for w := 0; w < 8; w++ {
 			s.Spawn(fmt.Sprintf("w%d", w), func(p *Proc) {
 				for k := 0; k < 50; k++ {

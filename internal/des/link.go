@@ -1,9 +1,6 @@
 package des
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // EfficiencyCurve maps the number of concurrent streams on a device to its
 // aggregate efficiency in (0,1]. It models the interference the paper
@@ -13,16 +10,6 @@ type EfficiencyCurve func(n int) float64
 
 // FlatEfficiency is an ideal device: eff(n) = 1.
 func FlatEfficiency(int) float64 { return 1 }
-
-// Interference returns eff(n) = 1/(1+alpha*(n-1)).
-func Interference(alpha float64) EfficiencyCurve {
-	return func(n int) float64 {
-		if n <= 1 {
-			return 1
-		}
-		return 1 / (1 + alpha*float64(n-1))
-	}
-}
 
 // CappedInterference returns eff(n) = 1/(1+alpha*(min(n,cap)-1)): the
 // device degrades with the number of *competing processes* (cap = workers
@@ -242,9 +229,3 @@ func (l *Link) BusyTime() float64 {
 
 // Transfers returns the number of Transfer calls admitted.
 func (l *Link) Transfers() int64 { return l.transfers }
-
-// SortProcsByName is a small helper for deterministic iteration in callers
-// that collect procs in maps.
-func SortProcsByName(ps []*Proc) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].name < ps[j].name })
-}

@@ -174,7 +174,7 @@ func TestSchedTraceDeterministic(t *testing.T) {
 	run := func() []string {
 		var trace []string
 		sim := New()
-		link := sim.NewLink("dev", 1e8, Interference(0.4))
+		link := sim.NewLink("dev", 1e8, CappedInterference(0.4, 2))
 		sched := sim.NewSched("disk", SchedConfig{
 			Workers: 2, Classes: testClasses, Aging: 0.01, Overhead: 1e-4,
 			Trace: func(line string) { trace = append(trace, line) },

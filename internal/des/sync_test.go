@@ -15,7 +15,7 @@ func TestEventReleasesWaiters(t *testing.T) {
 			times = append(times, p.Now())
 		})
 	}
-	s.SpawnAt(2, "firer", func(p *Proc) {
+	spawnAt(s, 2, "firer", func(p *Proc) {
 		ev.Fire()
 	})
 	if err := s.Run(); err != nil {
@@ -39,7 +39,7 @@ func TestEventWaitAfterFire(t *testing.T) {
 	ev := s.NewEvent()
 	var end float64 = -1
 	s.Spawn("firer", func(p *Proc) { ev.Fire() })
-	s.SpawnAt(5, "late", func(p *Proc) {
+	spawnAt(s, 5, "late", func(p *Proc) {
 		ev.Wait(p) // returns immediately
 		end = p.Now()
 	})

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -30,32 +33,17 @@ func TestByID(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsRun executes every experiment in quick mode and spot
-// checks the output shape. This is the end-to-end regression for the whole
-// reproduction pipeline.
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current outputs")
+
+// TestAllExperimentsRun executes every experiment in quick mode and
+// requires each table to match its committed golden byte for byte. This is
+// the end-to-end regression for the whole reproduction pipeline: any
+// simulator change that moves a figure shows up here. After an intended
+// change, regenerate with `go test ./internal/experiments -run
+// TestAllExperimentsRun -update` and review the diff.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
-	}
-	mustContain := map[string][]string{
-		"tab1":         {"Testbed-1", "6.9 | 5.3", "3.6 | 3.6"},
-		"tab2":         {"280B", "16384", "128"},
-		"fig1":         {"GPT-3", "H200", "2 years"},
-		"fig3":         {"20B CPU", "40B", "disk I/O %"},
-		"fig4":         {"nvme", "pfs", "4"},
-		"fig5":         {"subgroup", "read (GB/s)"},
-		"fig7":         {"40B", "120B", "MLP-Offload", "speedup"},
-		"fig8":         {"Mparams/s", "gain"},
-		"fig9":         {"GB/s", "MLP-Offload"},
-		"fig10":        {"host", "nvme", "pfs"},
-		"fig11":        {"280B [32]", "MLP-Offload"},
-		"fig12":        {"40B [4]", "gain"},
-		"fig13":        {"32", "512", "accum"},
-		"fig14":        {"Enable Caching", "Skip Gradients", "Process Atomic R/W"},
-		"fig15":        {"Multi-Path (with caching)", "Our Approach"},
-		"ext-adaptive": {"static", "adaptive", "slowdown"},
-		"ext-subgroup": {"100M", "1000M", "placement"},
-		"ext-matrix":   {"tier-failure-40b", "codec-280b", "ckpt-storm-pfs", "coalesce-microfetch", "speedup"},
 	}
 	for _, e := range All() {
 		e := e
@@ -64,13 +52,19 @@ func TestAllExperimentsRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
-			if len(out) == 0 {
-				t.Fatalf("%s produced no output", e.ID)
-			}
-			for _, needle := range mustContain[e.ID] {
-				if !strings.Contains(out, needle) {
-					t.Errorf("%s output missing %q:\n%s", e.ID, needle, out)
+			golden := filepath.Join("testdata", e.ID+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
 				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(want) {
+				t.Errorf("%s output differs from %s:\n--- got\n%s--- want\n%s", e.ID, golden, out, want)
 			}
 		})
 	}

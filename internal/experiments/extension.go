@@ -41,7 +41,7 @@ func ExtAdaptive(o Options) (string, error) {
 		degraded, err := simrun.Run(simrun.Config{
 			Testbed: cluster.Testbed1(), Model: m, Approach: ap,
 			Iterations: o.Iterations, Warmup: o.Warmup, TraceIteration: -1,
-			PFSLoadFactor: 0.2, PFSLoadAfter: 2,
+			SlowdownFactor: 0.2, SlowdownTier: 1, SlowdownAt: 2,
 		})
 		if err != nil {
 			return "", err

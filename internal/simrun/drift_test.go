@@ -127,6 +127,7 @@ func TestSimVsRealDrift(t *testing.T) {
 			Name:          "engine-mirror",
 			Order:         hostcache.Alternating,
 			SkipGradFlush: true,
+			IOWorkers:     2,
 			PriorityIO:    true,
 		},
 		SubgroupParams: sgParams,
@@ -135,7 +136,6 @@ func TestSimVsRealDrift(t *testing.T) {
 		FullDuplex:     true,
 		CacheSlots:     3,
 		PrefetchDepth:  3,
-		IOWorkers:      2,
 	})
 	if err != nil {
 		t.Fatal(err)

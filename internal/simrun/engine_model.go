@@ -1,12 +1,11 @@
-// The scheduler-based pipeline: the DES model of the engine as PRs 3/4/8
-// left it. Where the original paper pipeline (simrun.go) moves bytes
-// directly over tier links, this variant routes every tier operation
-// through a des.Sched per (tier, GPU worker) — the analogue of the aio
-// engine objects the runtime instantiates per storage path per process —
-// adding class-based priority with aging, background live migration after
-// replans, codec wire-vs-raw accounting, vectored fetch coalescing,
-// per-op submission overhead, co-tenant checkpoint storms, and mid-run
-// tier failures.
+// The simulator pipeline: the DES model of the offloading engine. Every
+// tier operation is submitted to a des.Sched per (tier, GPU worker) — the
+// analogue of the aio engine object the runtime instantiates per storage
+// path per process. What an Approach turns on decides the rest: the
+// I/O-worker bound, class-based priority with aging, background live
+// migration after replans, codec wire-vs-raw accounting and vectored fetch
+// coalescing; the Config adds per-op submission overhead, co-tenant
+// checkpoint storms and mid-run bandwidth slowdowns.
 package simrun
 
 import (
@@ -20,23 +19,27 @@ import (
 	"github.com/datastates/mlpoffload/internal/placement"
 )
 
-// schedTier is one storage device in the scheduler pipeline. The device
-// itself is either the paper's half-duplex unit-capacity device-time link
-// or (FullDuplex) a pair of independent byte-rate links matching
-// storage.Throttled's two token buckets. One Sched per GPU worker feeds it.
-type schedTier struct {
+// tier is one storage device. The device is either the paper's half-duplex
+// resource — reads and writes share a unit-capacity device-time link, so a
+// byte read costs 1/ReadBW device-seconds and a byte written 1/WriteBW,
+// with concurrent uncoordinated clients paying the interference curve — or
+// (FullDuplex) a pair of independent byte-rate links matching
+// storage.Throttled's two token buckets. Exclusive access (the MLP-Offload
+// concurrency control) serializes transfers through mu and sees the full
+// device. One Sched per GPU worker feeds it.
+type tier struct {
 	name       string
 	spec       cluster.StorageTierSpec
-	dev        *des.Link // half-duplex device-time link (nil when full duplex)
-	rdev, wdev *des.Link // full-duplex byte links (nil when half duplex)
-	mu         *des.Mutex
+	dev        *des.Link  // half-duplex device-time link (nil when full duplex)
+	rdev, wdev *des.Link  // full-duplex byte links (nil when half duplex)
+	mu         *des.Mutex // nil when access is uncoordinated
 	scheds     []*des.Sched
 }
 
 // scale shifts the tier's delivered bandwidth (external PFS load, mid-run
 // device failure). Half-duplex transfers are priced at admission from the
 // spec; full-duplex links change rate for in-flight transfers too.
-func (t *schedTier) scale(f float64) {
+func (t *tier) scale(f float64) {
 	t.spec.ReadBW *= f
 	t.spec.WriteBW *= f
 	if t.rdev != nil {
@@ -45,14 +48,14 @@ func (t *schedTier) scale(f float64) {
 	}
 }
 
-// schedRun carries the shared state of one scheduler-pipeline run.
-type schedRun struct {
-	cfg      Config
+// pipeline carries the shared state of one run.
+type pipeline struct {
 	sim      *des.Sim
-	tiers    []*schedTier
+	tiers    []*tier
 	est      *placement.Estimator
 	plan     placement.Plan
 	sgParams []int64
+	fetchBPP float64 // bytes per parameter one subgroup fetch reads
 
 	classes []string
 	classOf func(aio.Class) int
@@ -64,6 +67,7 @@ type schedRun struct {
 	clients   int
 	stormStop bool
 
+	trace      []SubgroupIO
 	fetchLat   []float64
 	ckptLat    []float64
 	ckptOps    int64
@@ -74,7 +78,7 @@ type schedRun struct {
 
 // release drops one pipeline client (worker, storm job, migrator); the
 // last one out closes every scheduler so idle service procs exit.
-func (r *schedRun) release() {
+func (r *pipeline) release() {
 	r.clients--
 	if r.clients == 0 {
 		for _, t := range r.tiers {
@@ -86,11 +90,13 @@ func (r *schedRun) release() {
 }
 
 // wire converts raw caller bytes to device-level bytes under the codec.
-func (r *schedRun) wire(raw float64) float64 { return raw / r.codecRatio }
+func (r *pipeline) wire(raw float64) float64 { return raw / r.codecRatio }
 
 // readExec returns the service closure for a read: exclusive lock, device
-// transfer of the wire bytes, estimator observation, decode cost.
-func (r *schedRun) readExec(t *schedTier, raw, wireB float64) func(p *des.Proc) {
+// transfer of the wire bytes, estimator observation, decode cost. The
+// estimator sees the transfer alone, never the lock wait: feeding queue
+// delay back into placement would destabilize it.
+func (r *pipeline) readExec(t *tier, raw, wireB float64) func(p *des.Proc) {
 	return func(p *des.Proc) {
 		if t.mu != nil {
 			t.mu.Lock(p)
@@ -113,7 +119,7 @@ func (r *schedRun) readExec(t *schedTier, raw, wireB float64) func(p *des.Proc) 
 }
 
 // writeExec is readExec's mirror: encode cost, then the device transfer.
-func (r *schedRun) writeExec(t *schedTier, raw, wireB float64) func(p *des.Proc) {
+func (r *pipeline) writeExec(t *tier, raw, wireB float64) func(p *des.Proc) {
 	return func(p *des.Proc) {
 		if r.encBW > 0 && r.codecRatio > 1 {
 			p.Sleep(raw / r.encBW)
@@ -135,20 +141,22 @@ func (r *schedRun) writeExec(t *schedTier, raw, wireB float64) func(p *des.Proc)
 	}
 }
 
-// submitWrite queues a write and a bridge proc that records it into the
-// iteration accumulator and fires ev on completion.
-func (r *schedRun) submitWrite(w int, t *schedTier, class aio.Class, name string, raw float64, it *metrics.Iteration, ev *des.Event) {
+// submitFlush queues a Flush-class write and a bridge proc that records it
+// into the iteration accumulator — and, when pos >= 0, into the Figure 5
+// trace — then fires ev.
+func (r *pipeline) submitFlush(w int, t *tier, name string, raw float64, it *metrics.Iteration, ev *des.Event, pos int) {
 	wireB := r.wire(raw)
-	op := t.scheds[w].Submit(r.classOf(class), name, raw, r.writeExec(t, raw, wireB))
+	op := t.scheds[w].Submit(r.classOf(aio.Flush), name, raw, r.writeExec(t, raw, wireB))
 	r.sim.Spawn(name+".done", func(p *des.Proc) {
 		op.Wait(p)
 		it.BytesWritten += raw
 		it.WireBytesWritten += wireB
 		it.WriteTime += op.Latency()
 		it.RecordClassIO(r.classes[op.Class()], raw, wireB, op.QueueDelay(), op.Latency()-op.QueueDelay())
-		if ev != nil {
-			ev.Fire()
+		if pos >= 0 {
+			r.trace = append(r.trace, SubgroupIO{Pos: pos, WriteBW: raw / op.Latency()})
 		}
+		ev.Fire()
 	})
 }
 
@@ -159,57 +167,73 @@ type pendingFetch struct {
 	sched *des.Sched
 }
 
-// submitFetchBatch queues one (possibly vectored) state read covering the
-// batch, plus per-subgroup gradient reads in no-skip mode, and a bridge
-// proc that accounts the op and fires each member's event.
-func (r *schedRun) submitFetchBatch(w int, tierIdx int, batch []int, grads bool, it *metrics.Iteration, fetches map[int]*pendingFetch) {
-	t := r.tiers[tierIdx]
-	sc := t.scheds[w]
-	var stateRaw float64
+// fetch submits one (possibly vectored) read of the batch's state from tier
+// ti: 12 B/param, or 16 when backward flushed FP32 gradients beside it.
+func (r *pipeline) fetch(w, ti int, batch []int) (op *des.SchedOp, raw float64) {
+	t := r.tiers[ti]
 	for _, sg := range batch {
-		stateRaw += float64(r.sgParams[sg]) * 12
+		raw += float64(r.sgParams[sg]) * r.fetchBPP
 	}
-	stateWire := r.wire(stateRaw)
-	op := sc.Submit(r.classOf(aio.Prefetch), fmt.Sprintf("w%d.fetch%d", w, batch[0]),
-		stateRaw, r.readExec(t, stateRaw, stateWire))
-	var gradOps []*des.SchedOp
-	var gradRaw float64
-	if grads {
-		for _, sg := range batch {
-			raw := float64(r.sgParams[sg]) * 4
-			gradRaw += raw
-			gradOps = append(gradOps, sc.Submit(r.classOf(aio.GradRead),
-				fmt.Sprintf("w%d.grad%d", w, sg), raw, r.readExec(t, raw, r.wire(raw))))
-		}
+	op = t.scheds[w].Submit(r.classOf(aio.Prefetch), fmt.Sprintf("w%d.fetch%d", w, batch[0]),
+		raw, r.readExec(t, raw, r.wire(raw)))
+	return op, raw
+}
+
+// fetched accounts a completed fetch whose consumer issued it at since;
+// pos >= 0 also records it in the Figure 5 trace.
+func (r *pipeline) fetched(p *des.Proc, op *des.SchedOp, raw, since float64, it *metrics.Iteration, pos int) {
+	perceived := p.Now() - since
+	wireB := r.wire(raw)
+	it.RecordClassIO(r.classes[op.Class()], raw, wireB, op.QueueDelay(), op.Latency()-op.QueueDelay())
+	it.BytesRead += raw
+	it.WireBytesRead += wireB
+	it.ReadTime += perceived
+	r.fetchLat = append(r.fetchLat, perceived)
+	if pos >= 0 {
+		r.trace = append(r.trace, SubgroupIO{Pos: pos, ReadBW: raw / perceived})
 	}
+}
+
+// submitFetchBatch queues the batch's read plus a bridge proc that accounts
+// the op and fires each member's event.
+func (r *pipeline) submitFetchBatch(w, ti int, batch []int, it *metrics.Iteration, fetches map[int]*pendingFetch, pos int) {
+	op, raw := r.fetch(w, ti, batch)
 	evs := make([]*des.Event, len(batch))
 	for i, sg := range batch {
 		evs[i] = r.sim.NewEvent()
-		fetches[sg] = &pendingFetch{ev: evs[i], op: op, sched: sc}
+		fetches[sg] = &pendingFetch{ev: evs[i], op: op, sched: r.tiers[ti].scheds[w]}
 	}
-	submitT := r.sim.Now()
+	since := r.sim.Now()
 	r.sim.Spawn(fmt.Sprintf("w%d.fetch%d.done", w, batch[0]), func(p *des.Proc) {
 		op.Wait(p)
-		it.RecordClassIO(r.classes[op.Class()], stateRaw, stateWire, op.QueueDelay(), op.Latency()-op.QueueDelay())
-		for i, g := range gradOps {
-			g.Wait(p)
-			raw := float64(r.sgParams[batch[i]]) * 4
-			it.RecordClassIO(r.classes[g.Class()], raw, r.wire(raw), g.QueueDelay(), g.Latency()-g.QueueDelay())
-		}
-		perceived := p.Now() - submitT
-		it.BytesRead += stateRaw + gradRaw
-		it.WireBytesRead += stateWire + r.wire(gradRaw)
-		it.ReadTime += perceived
-		r.fetchLat = append(r.fetchLat, perceived)
+		r.fetched(p, op, raw, since, it, pos)
 		for _, ev := range evs {
 			ev.Fire()
 		}
 	})
 }
 
-// runSched executes the scheduler-based pipeline. Structure parallels Run;
-// see simrun.go for the shared modeling commentary.
-func runSched(cfg Config) (*Result, error) {
+// workerState is one GPU worker's residency and migration bookkeeping.
+type workerState struct {
+	lru       *hostcache.LRU
+	loc       []int // -1 = host, else tier index
+	phase     int
+	migrating map[int]*des.Event
+	migQueue  []int
+	migActive int
+}
+
+// migrationWindow bounds concurrent background copies per worker (the
+// engine's default).
+const migrationWindow = 2
+
+// Run simulates one node of the configured system (nodes are symmetric;
+// inter-node collective cost is added to the backward pass) and returns
+// the measured result.
+func Run(cfg Config) (*Result, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
 	tb := cfg.Testbed
 	ap := cfg.Approach
 	W := tb.GPUsPerNode
@@ -221,43 +245,76 @@ func runSched(cfg Config) (*Result, error) {
 	M := int((shardParams + cfg.SubgroupParams - 1) / cfg.SubgroupParams)
 
 	sim := des.New()
-	r := &schedRun{cfg: cfg, sim: sim, est: placement.NewEstimator(0.5), codecRatio: 1}
+	r := &pipeline{sim: sim, est: placement.NewEstimator(0.5), codecRatio: 1, fetchBPP: 12}
+	if !ap.SkipGradFlush {
+		r.fetchBPP = 16
+	}
 	if ap.CodecRatio > 1 {
 		r.codecRatio = ap.CodecRatio
 		r.encBW = ap.CodecEncBW
 		r.decBW = ap.CodecDecBW
 	}
+	aging := 0.0
 	if ap.PriorityIO {
 		r.classes = make([]string, aio.NumClasses)
 		for i, c := range aio.Classes() {
 			r.classes[i] = c.String()
 		}
 		r.classOf = func(c aio.Class) int { return int(c) }
+		aging = aio.DefaultAgingThreshold.Seconds()
 	} else {
-		// Flat FIFO: the pre-PR-3 engine, kept as the storm scenario's
-		// contrast arm.
+		// Flat FIFO: the paper's runtimes and the pre-PR-3 engine (the
+		// storm scenario's contrast arm).
 		r.classes = []string{"fifo"}
 		r.classOf = func(aio.Class) int { return 0 }
 	}
-	aging := 0.0
-	if ap.PriorityIO {
-		aging = ap.AgingThreshold
-		if aging <= 0 {
-			aging = 0.05 // aio.DefaultAgingThreshold
+
+	// Host cache capacity.
+	stateBytesPerSG := float64(cfg.SubgroupParams) * 12
+	var slots int
+	if ap.Order == hostcache.Alternating {
+		cache := tb.HostCacheBytes(totalParams/int64(cfg.Nodes), ap.SkipGradFlush)
+		slots = int(float64(cache) / float64(W) / stateBytesPerSG)
+		if slots < 3 {
+			slots = 3
 		}
+		if slots > M {
+			slots = M
+		}
+	} else {
+		// DeepNVMe's rotating buffers: one prefetched, one updating, one
+		// flushing.
+		slots = 3
 	}
-	ioWorkers := cfg.IOWorkers
+	if cfg.CacheSlots > 0 {
+		slots = min(cfg.CacheSlots, M)
+	}
+	prefetchDepth := min(4, slots)
+	if ap.Order != hostcache.Alternating {
+		prefetchDepth = 1
+	}
+	if cfg.PrefetchDepth > 0 {
+		prefetchDepth = min(cfg.PrefetchDepth, M)
+	}
+	coalesce := max(ap.CoalesceFetches, 1)
+	ioWorkers := ap.IOWorkers
 	if ioWorkers <= 0 {
-		ioWorkers = 2 // aio default worker pool per engine object
+		// A worker has at most prefetchDepth+coalesce-1 fetches (the
+		// window rounds up to a batch) and two flushes outstanding on a
+		// tier; one slot each, plus a spare, means none of them queues.
+		ioWorkers = prefetchDepth + coalesce + 2
 	}
+
 	var traceFn func(string)
 	if cfg.TraceEvents {
 		traceFn = func(line string) { r.traceLog = append(r.traceLog, line) }
 	}
-
-	mkTier := func(spec cluster.StorageTierSpec) *schedTier {
+	mkTier := func(spec cluster.StorageTierSpec) *tier {
+		// Interference counts competing processes (one per GPU), not raw
+		// in-flight ops: deeper queues from one worker do not add device
+		// interference, they just wait their turn.
 		curve := des.CappedInterference(spec.InterferenceAlpha, W)
-		t := &schedTier{name: spec.Name, spec: spec}
+		t := &tier{name: spec.Name, spec: spec}
 		if cfg.FullDuplex {
 			t.rdev = sim.NewLink(spec.Name+".r", spec.ReadBW, curve)
 			t.wdev = sim.NewLink(spec.Name+".w", spec.WriteBW, curve)
@@ -289,8 +346,13 @@ func runSched(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("simrun: checkpoint storm needs a storage tier")
 	}
 
+	// CPU update resource: processor-sharing across workers, measured in
+	// parameters/second.
 	cpu := sim.NewLink("cpu", tb.CPUUpdateParamsPerSec, nil)
 
+	// Placement plan (per worker; identical for all workers), seeded from
+	// the microbenchmark bandwidths and — with adaptive placement — re-fit
+	// each iteration from EWMA-smoothed observed bandwidths.
 	tierNames := make([]string, len(r.tiers))
 	if len(r.tiers) > 0 {
 		tbw := make([]placement.TierBandwidth, len(r.tiers))
@@ -302,42 +364,13 @@ func runSched(cfg Config) (*Result, error) {
 		r.plan = placement.NewPlan(M, tbw)
 	}
 
-	stateBytesPerSG := float64(cfg.SubgroupParams) * 12
-	var slots int
-	if ap.Order == hostcache.Alternating {
-		cache := tb.HostCacheBytes(totalParams/int64(cfg.Nodes), ap.SkipGradFlush)
-		slots = int(float64(cache) / float64(W) / stateBytesPerSG)
-		if slots < 3 {
-			slots = 3
-		}
-		if slots > M {
-			slots = M
-		}
-	} else {
-		slots = 3
-	}
-	if cfg.CacheSlots > 0 {
-		slots = min(cfg.CacheSlots, M)
-	}
-	prefetchDepth := min(4, slots)
-	if ap.Order != hostcache.Alternating {
-		prefetchDepth = 1
-	}
-	if cfg.PrefetchDepth > 0 {
-		prefetchDepth = min(cfg.PrefetchDepth, M)
-	}
-	coalesce := ap.CoalesceFetches
-	if coalesce < 2 {
-		coalesce = 1
-	}
-	migWindow := ap.MigrationWindow
-	if migWindow <= 0 {
-		migWindow = 2
-	}
-
+	// Compute-time model.
 	tokensPerStep := float64(cfg.Model.SeqLen * cfg.MicroBatch)
 	fwdTime := cfg.Model.FLOPsPerToken() * tokensPerStep / (tb.GPU.TFLOPS * 1e12)
-	bwdComputeTime := 3 * fwdTime
+	bwdComputeTime := 3 * fwdTime // 2x backward + 1x activation recompute
+	// Inter-node collectives (tensor parallel intra-node, data parallel
+	// across nodes): FP16 gradient reduce-scatter + parameter all-gather,
+	// sharded 1/W by tensor parallelism.
 	commTime := cluster.CollectiveTime(2*2*float64(totalParams)/float64(W), cfg.Nodes, tb.InterconnectBW)
 
 	r.sgParams = make([]int64, M)
@@ -349,18 +382,9 @@ func runSched(cfg Config) (*Result, error) {
 		r.sgParams[i] = n
 	}
 
-	type schedWorkerState struct {
-		workerState
-		migrating map[int]*des.Event
-		migQueue  []int
-		migActive int
-	}
-	workers := make([]*schedWorkerState, W)
+	workers := make([]*workerState, W)
 	for w := range workers {
-		ws := &schedWorkerState{
-			workerState: workerState{lru: hostcache.NewLRU(slots), loc: make([]int, M)},
-			migrating:   make(map[int]*des.Event),
-		}
+		ws := &workerState{lru: hostcache.NewLRU(slots), loc: make([]int, M), migrating: make(map[int]*des.Event)}
 		for i := range ws.loc {
 			if cfg.CPUOnly {
 				ws.loc[i] = -1
@@ -371,10 +395,8 @@ func runSched(cfg Config) (*Result, error) {
 		workers[w] = ws
 	}
 
+	// Measurement state (DES is single-threaded: plain fields suffice).
 	iters := make([]metrics.Iteration, cfg.Iterations)
-	for i := range iters {
-		iters[i].TierBytes = make(map[string]float64)
-	}
 	type phaseStamp struct{ fwdEnd, bwdEnd, updEnd, start float64 }
 	stamps := make([]phaseStamp, cfg.Iterations)
 
@@ -385,17 +407,17 @@ func runSched(cfg Config) (*Result, error) {
 	conv := tb.CPUConvertBytesPerSec
 
 	// kickMigration drains a worker's misplaced subgroups toward the plan
-	// in the background: up to migWindow concurrent copies at Migration
-	// class, each a read from the stale tier plus a write to the planned
-	// one (the engine's migrator loop).
-	kickMigration := func(w int, ws *schedWorkerState) {
+	// in the background: up to migrationWindow concurrent copies at
+	// Migration class, each a read from the stale tier plus a write to the
+	// planned one (the engine's migrator loop).
+	kickMigration := func(w int, ws *workerState) {
 		for sg := 0; sg < M; sg++ {
 			if ws.loc[sg] >= 0 && ws.loc[sg] != r.plan.TierFor(sg) && ws.migrating[sg] == nil {
 				ws.migQueue = append(ws.migQueue, sg)
 				ws.migrating[sg] = sim.NewEvent()
 			}
 		}
-		for ws.migActive < migWindow && len(ws.migQueue) > 0 {
+		for ws.migActive < migrationWindow && len(ws.migQueue) > 0 {
 			ws.migActive++
 			r.clients++
 			sim.Spawn(fmt.Sprintf("w%d.migrator%d", w, ws.migActive), func(p *des.Proc) {
@@ -428,13 +450,6 @@ func runSched(cfg Config) (*Result, error) {
 		}
 	}
 
-	fetchBytesOf := func(sg int) float64 {
-		if ap.SkipGradFlush {
-			return float64(r.sgParams[sg]) * 12
-		}
-		return float64(r.sgParams[sg]) * 16
-	}
-
 	r.clients = W
 	for w := 0; w < W; w++ {
 		w := w
@@ -444,13 +459,9 @@ func runSched(cfg Config) (*Result, error) {
 				it := &iters[iter]
 				if w == 0 {
 					stamps[iter].start = p.Now()
-					if cfg.PFSLoadFactor > 0 && cfg.PFSLoadFactor < 1 &&
-						iter == cfg.PFSLoadAfter && ap.UsePFS && len(r.tiers) > 1 {
-						r.tiers[1].scale(cfg.PFSLoadFactor)
-					}
-					if cfg.TierFailFactor > 0 && cfg.TierFailFactor < 1 &&
-						iter == cfg.TierFailAfter && cfg.TierFailTier < len(r.tiers) {
-						r.tiers[cfg.TierFailTier].scale(cfg.TierFailFactor)
+					if cfg.SlowdownFactor > 0 && cfg.SlowdownFactor < 1 &&
+						iter == cfg.SlowdownAt && cfg.SlowdownTier < len(r.tiers) {
+						r.tiers[cfg.SlowdownTier].scale(cfg.SlowdownFactor)
 					}
 				}
 
@@ -462,22 +473,30 @@ func runSched(cfg Config) (*Result, error) {
 				}
 
 				// ---- Backward ----
+				// Grad flushes are asynchronous but bounded to one in
+				// flight per worker, as DeepNVMe's submission queue is:
+				// when the device falls behind, the backward pass stalls
+				// waiting for the previous flush — exactly the "large
+				// asynchronous FP32 gradient flushes that can delay the
+				// backward pass" the paper eliminates.
 				var prevGradFlush *des.Event
 				for a := 0; a < cfg.GradAccumSteps; a++ {
 					last := a == cfg.GradAccumSteps-1
 					for i := 0; i < M; i++ {
 						n := float64(r.sgParams[i])
 						p.Sleep(bwdComputeTime / float64(M))
-						p.Sleep(n * fp16Bytes / d2h)
+						p.Sleep(n * fp16Bytes / d2h) // FP16 grads D2H
 						if !ap.SkipGradFlush && last && !cfg.CPUOnly {
+							// Upscale to FP32 and flush to the subgroup's
+							// tier asynchronously.
 							p.Sleep(n * 4 / conv)
 							if prevGradFlush != nil {
 								prevGradFlush.Wait(p)
 							}
-							tier := r.tiers[tierOf(ws.loc[i], r.plan, i)]
 							ev := sim.NewEvent()
 							prevGradFlush = ev
-							r.submitWrite(w, tier, aio.Flush, fmt.Sprintf("w%d.gflush%d", w, i), n*4, it, ev)
+							r.submitFlush(w, r.tiers[tierOf(ws.loc[i], r.plan, i)],
+								fmt.Sprintf("w%d.gflush%d", w, i), n*4, it, ev, -1)
 						}
 					}
 				}
@@ -492,8 +511,12 @@ func runSched(cfg Config) (*Result, error) {
 					stamps[iter].bwdEnd = p.Now()
 				}
 
-				// ---- Update ----
+				// ---- Update (Algorithm 1) ----
 				order := hostcache.UpdateOrder(ap.Order, M, ws.phase)
+				tracePos := func(sg int) int { return -1 }
+				if w == 0 && iter == cfg.TraceIteration {
+					tracePos = func(sg int) int { return posOf(order, sg) }
+				}
 				fetches := make(map[int]*pendingFetch, prefetchDepth)
 				var flushEvents []*des.Event
 				inflight := 0
@@ -513,31 +536,22 @@ func runSched(cfg Config) (*Result, error) {
 							pf := &pendingFetch{ev: sim.NewEvent()}
 							fetches[sgID] = pf
 							sg := sgID
-							submitT := sim.Now()
+							since := sim.Now()
 							sim.Spawn(fmt.Sprintf("w%d.migwait%d", w, sg), func(mp *des.Proc) {
 								mig.Wait(mp)
 								if ws.loc[sg] == -1 {
 									pf.ev.Fire()
 									return
 								}
-								t := r.tiers[ws.loc[sg]]
-								raw := fetchBytesOf(sg)
-								wireB := r.wire(raw)
-								op := t.scheds[w].Submit(r.classOf(aio.Prefetch),
-									fmt.Sprintf("w%d.fetch%d", w, sg), raw, r.readExec(t, raw, wireB))
-								pf.op, pf.sched = op, t.scheds[w]
+								op, raw := r.fetch(w, ws.loc[sg], []int{sg})
+								pf.op, pf.sched = op, r.tiers[ws.loc[sg]].scheds[w]
 								op.Wait(mp)
-								perceived := mp.Now() - submitT
-								it.BytesRead += raw
-								it.WireBytesRead += wireB
-								it.ReadTime += perceived
-								it.RecordClassIO(r.classes[op.Class()], raw, wireB, op.QueueDelay(), op.Latency()-op.QueueDelay())
-								r.fetchLat = append(r.fetchLat, perceived)
+								r.fetched(mp, op, raw, since, it, tracePos(sg))
 								pf.ev.Fire()
 							})
 							continue
 						}
-						tier := ws.loc[sgID]
+						ti := ws.loc[sgID]
 						batch := []int{sgID}
 						// Vectored gather: fill the batch with same-tier
 						// subgroups from the prefetch window, skipping (not
@@ -549,7 +563,7 @@ func runSched(cfg Config) (*Result, error) {
 						// (outstanding objects <= depth+coalesce-1).
 						for i := 0; i < len(pending) && i < prefetchDepth && len(batch) < coalesce; {
 							next := pending[i]
-							if ws.loc[next] == tier && ws.migrating[next] == nil {
+							if ws.loc[next] == ti && ws.migrating[next] == nil {
 								batch = append(batch, next)
 								pending = append(pending[:i], pending[i+1:]...)
 							} else {
@@ -557,7 +571,7 @@ func runSched(cfg Config) (*Result, error) {
 							}
 						}
 						inflight += len(batch)
-						r.submitFetchBatch(w, tier, batch, !ap.SkipGradFlush && !cfg.CPUOnly, it, fetches)
+						r.submitFetchBatch(w, ti, batch, it, fetches, tracePos(sgID))
 					}
 				}
 				issue()
@@ -579,15 +593,18 @@ func runSched(cfg Config) (*Result, error) {
 						it.CacheHits++
 					}
 					if ap.SkipGradFlush {
-						p.Sleep(n * 4 / conv)
+						p.Sleep(n * 4 / conv) // delayed FP16→FP32 conversion
 					}
 					t0 := p.Now()
-					cpu.Transfer(p, n)
+					cpu.Transfer(p, n) // Adam kernel (params as units)
 					it.UpdateComputeTime += p.Now() - t0
-					p.Sleep(n * fp16Bytes / d2h)
+					p.Sleep(n * fp16Bytes / d2h) // FP16 params H2D
 					if !cfg.CPUOnly {
 						evicted, did := ws.lru.Touch(sgID)
 						if did {
+							// Lazy flush, bounded to two in flight per
+							// worker (the staging-buffer backpressure of a
+							// real async engine: one flushing + one queued).
 							if len(flushEvents) >= 2 {
 								flushEvents[len(flushEvents)-2].Wait(p)
 							}
@@ -595,8 +612,8 @@ func runSched(cfg Config) (*Result, error) {
 							ws.loc[evicted] = dst
 							ev := sim.NewEvent()
 							flushEvents = append(flushEvents, ev)
-							r.submitWrite(w, r.tiers[dst], aio.Flush,
-								fmt.Sprintf("w%d.flush%d", w, evicted), float64(r.sgParams[evicted])*12, it, ev)
+							r.submitFlush(w, r.tiers[dst], fmt.Sprintf("w%d.flush%d", w, evicted),
+								float64(r.sgParams[evicted])*12, it, ev, tracePos(evicted))
 						}
 					}
 					issue()
@@ -609,11 +626,14 @@ func runSched(cfg Config) (*Result, error) {
 				barrier.Await(p)
 				if w == 0 {
 					stamps[iter].updEnd = p.Now()
+					// Re-fit the placement (Eq. 1) from observed
+					// bandwidths; subsequent flushes migrate subgroups
+					// toward the faster paths.
 					if ap.AdaptivePlacement && len(r.tiers) > 1 {
 						r.plan = placement.NewPlan(M, r.est.Bandwidths(tierNames, 1))
 					}
 				}
-				barrier.Await(p)
+				barrier.Await(p) // replanning visible to all before next iteration
 				// Background convergence toward the fresh plan; skipped
 				// after the final iteration (nothing left to serve).
 				if ap.LiveMigration && len(r.tiers) > 1 && iter < cfg.Iterations-1 {
@@ -664,7 +684,7 @@ func runSched(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("simrun: %w", err)
 	}
 
-	res := &Result{Config: cfg, CacheSlotsPerWorker: slots}
+	res := &Result{Config: cfg, Trace: r.trace, CacheSlotsPerWorker: slots}
 	if len(r.tiers) > 0 {
 		res.PlanRatio = r.plan.Ratio()
 	}
@@ -678,13 +698,22 @@ func runSched(cfg Config) (*Result, error) {
 		}
 		res.Series.Append(iters[i])
 	}
-	plainWorkers := make([]*workerState, W)
-	for w := range workers {
-		plainWorkers[w] = &workers[w].workerState
+	res.Mean = res.Series.Mean()
+	// Tier distribution: optimizer-state bytes by final location across
+	// all workers of the node.
+	res.Mean.TierBytes = make(map[string]float64)
+	for _, ws := range workers {
+		for sg, loc := range ws.loc {
+			name := "host"
+			if loc >= 0 {
+				name = r.tiers[loc].name
+				if loc != r.plan.TierFor(sg) {
+					res.MisplacedEnd++
+				}
+			}
+			res.Mean.TierBytes[name] += float64(r.sgParams[sg]) * 12
+		}
 	}
-	mean := res.Series.Mean()
-	mean.TierBytes = schedTierDistribution(plainWorkers, r.sgParams, r.tiers)
-	res.Mean = mean
 
 	// Run-level class accounting, aggregated across every scheduler in a
 	// fixed (tier, worker) order so percentile inputs are deterministic.
@@ -716,29 +745,23 @@ func runSched(cfg Config) (*Result, error) {
 	res.CheckpointOps = r.ckptOps
 	res.CheckpointP95 = des.Percentile(r.ckptLat, 95)
 	res.EventTrace = r.traceLog
-	for _, ws := range workers {
-		for sg, loc := range ws.loc {
-			if loc >= 0 && loc != r.plan.TierFor(sg) {
-				res.MisplacedEnd++
-			}
-		}
-	}
 	return res, nil
 }
 
-// schedTierDistribution mirrors tierDistribution for the scheduler
-// pipeline's tier type.
-func schedTierDistribution(workers []*workerState, sgParams []int64, tiers []*schedTier) map[string]float64 {
-	out := make(map[string]float64)
-	for _, ws := range workers {
-		for i, loc := range ws.loc {
-			b := float64(sgParams[i]) * 12
-			if loc == -1 {
-				out["host"] += b
-			} else {
-				out[tiers[loc].name] += b
-			}
+// tierOf resolves the tier for a subgroup that may be host-resident (use
+// its planned tier for gradient objects).
+func tierOf(loc int, plan placement.Plan, sg int) int {
+	if loc >= 0 {
+		return loc
+	}
+	return plan.TierFor(sg)
+}
+
+func posOf(order []int, sg int) int {
+	for i, v := range order {
+		if v == sg {
+			return i
 		}
 	}
-	return out
+	return -1
 }

@@ -165,7 +165,7 @@ func Scenarios() []Scenario {
 	return []Scenario{
 		{
 			Name:  "baseline-40b",
-			Title: "40B on Testbed-1: DeepSpeed baseline vs paper pipeline vs engine-true pipeline",
+			Title: "40B on Testbed-1: DeepSpeed baseline vs MLP-Offload vs the engine's I/O workers, priority, migration and coalescing",
 			run: func(opts MatrixOptions) (*CellReport, error) {
 				iters, warm := sized(opts, 6, 1)
 				m, err := model.ByName("40B")
@@ -216,7 +216,7 @@ func Scenarios() []Scenario {
 					res, err := Run(Config{
 						Testbed: cluster.Testbed1(), Model: m, Approach: ap,
 						Iterations: iters, Warmup: warm,
-						PFSLoadFactor: 0.3, PFSLoadAfter: min(2, iters-1),
+						SlowdownFactor: 0.3, SlowdownTier: 1, SlowdownAt: min(2, iters-1),
 					})
 					if err != nil {
 						return nil, err
@@ -249,7 +249,7 @@ func Scenarios() []Scenario {
 					res, err := Run(Config{
 						Testbed: cluster.Testbed1(), Model: m, Approach: ap,
 						Iterations: iters, Warmup: warm,
-						TierFailFactor: 0.15, TierFailTier: 0, TierFailAfter: min(2, iters-1),
+						SlowdownFactor: 0.15, SlowdownTier: 0, SlowdownAt: min(2, iters-1),
 					})
 					if err != nil {
 						return nil, err
@@ -344,9 +344,10 @@ func Scenarios() []Scenario {
 				tb := cluster.Testbed1()
 				tb.GPUsPerNode = 1
 				single := EngineTrue()
+				single.IOWorkers = 1
+				batched := single
 				single.Name = "batch-1"
 				single.CoalesceFetches = 1
-				batched := EngineTrue()
 				batched.Name = "batch-8"
 				batched.CoalesceFetches = 8
 				rep := &CellReport{
@@ -357,7 +358,7 @@ func Scenarios() []Scenario {
 					res, err := Run(Config{
 						Testbed: tb, Model: mdl, Approach: ap,
 						SubgroupParams: 1365, Iterations: 1, Warmup: 0,
-						OpOverhead: overhead, IOWorkers: 1,
+						OpOverhead: overhead,
 						CacheSlots: 1 << 10, PrefetchDepth: 32,
 					})
 					if err != nil {
@@ -392,7 +393,7 @@ func codecCell(modelName string, tb func() cluster.Testbed, tbName string, nodes
 			res, err := Run(Config{
 				Testbed: tb(), Model: m, Approach: ap, Nodes: nodes,
 				Iterations: iters, Warmup: warm,
-				PFSLoadFactor: 0.25, PFSLoadAfter: 0,
+				SlowdownFactor: 0.25, SlowdownTier: 1, SlowdownAt: 0,
 			})
 			if err != nil {
 				return nil, err

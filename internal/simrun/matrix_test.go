@@ -1,6 +1,10 @@
 package simrun
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,13 +18,31 @@ import (
 // staying fast under -race -count=2.
 var ciOpts = MatrixOptions{Iterations: 4, Warmup: 1, CheckpointJobs: 32}
 
-// TestMatrixCells runs the full matrix at CI size and checks each cell's
-// physics: the mechanism a scenario exists to show must be visible in its
-// report.
+var update = flag.Bool("update", false, "rewrite testdata/matrix_ci.golden from the current reports")
+
+// TestMatrixCells runs the full matrix at CI size, requires the JSON
+// reports to match testdata/matrix_ci.golden byte for byte (regenerate
+// with -update after an intended change), and checks each cell's physics:
+// the mechanism a scenario exists to show must be visible in its report.
 func TestMatrixCells(t *testing.T) {
 	reps, err := RunMatrix(nil, ciOpts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(reps, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	const golden = "testdata/matrix_ci.golden"
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if want, err := os.ReadFile(golden); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(got, want) {
+		t.Errorf("CI-sized matrix differs from %s:\n--- got\n%s--- want\n%s", golden, got, want)
 	}
 	if len(reps) < 6 {
 		t.Fatalf("matrix produced %d cells, want >= 6", len(reps))
@@ -44,7 +66,7 @@ func TestMatrixCells(t *testing.T) {
 		byName[rep.Config.Scenario] = rep
 	}
 
-	// Baseline: the engine-true pipeline must beat DeepSpeed ZeRO-3.
+	// Baseline: the engine-true approach must beat DeepSpeed ZeRO-3.
 	if rep := byName["baseline-40b"]; rep != nil && rep.Speedup <= 1 {
 		t.Errorf("baseline-40b: engine speedup over DeepSpeed = %g, want > 1", rep.Speedup)
 	}
@@ -136,7 +158,7 @@ func TestEventTraceDeterministic(t *testing.T) {
 	cfg := Config{
 		Testbed: cluster.Testbed1(), Model: m, Approach: ap,
 		Iterations: 4, Warmup: 1,
-		TierFailFactor: 0.15, TierFailTier: 0, TierFailAfter: 2,
+		SlowdownFactor: 0.15, SlowdownTier: 0, SlowdownAt: 2,
 		TraceEvents: true,
 	}
 	a, err := Run(cfg)
