@@ -42,9 +42,9 @@ func main() {
 		iters     = flag.Int("iters", 6, "training iterations (total; -resume continues toward this target)")
 		dir       = flag.String("dir", "", "directory for file-backed tiers (empty = in-memory)")
 		throttle  = flag.Bool("throttle", true, "emulate Table-1-scaled tier bandwidths")
-		workers   = flag.Int("update-workers", 0, "update-phase pipeline parallelism (0 = auto from GOMAXPROCS, -1 = paper's sequential update)")
-		kernels   = flag.Int("kernel-workers", 0, "shared kernel worker pool for Adam/codec kernels (0 = auto, -1 = serial; bit-identical at any width)")
-		coalesce  = flag.Int("coalesce", 0, "adjacent same-tier fetches batched into one vectored read (0 = auto, -1 = off)")
+		workers   = flag.Int("update-workers", 0, "update-phase pipeline parallelism (0 = auto from GOMAXPROCS, 1 = paper's sequential update)")
+		kernels   = flag.Int("kernel-workers", 0, "shared kernel worker pool for Adam/codec kernels (0 = auto, 1 = serial; bit-identical at any width)")
+		coalesce  = flag.Int("coalesce", 0, "adjacent same-tier fetches batched into one vectored read (0 = auto, 1 = off)")
 		direct    = flag.Bool("direct", false, "O_DIRECT file I/O on file-backed tiers where supported (requires -dir)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "write a restorable checkpoint every N iterations (0 = off)")
 		ckptKeep  = flag.Int("keep-checkpoints", 2, "retain only the newest N checkpoints (0 = keep all)")

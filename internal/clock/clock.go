@@ -24,6 +24,8 @@
 package clock
 
 import (
+	"bytes"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -278,20 +280,59 @@ func (v *VirtualClock) BlockUntil(n int) {
 	v.mu.Unlock()
 }
 
-// Drive advances to each next deadline as waiters appear, until stop is
-// closed — a background driver for code whose sleeps are chunked or
-// data-dependent (e.g. a rate limiter splitting a transfer into
-// burst-size reservations). Between waiters it yields real time briefly,
-// so total real cost stays microseconds per virtual event.
+// Drive advances to each next deadline until stop is closed — a
+// background driver for code whose sleeps are chunked or data-dependent
+// (e.g. a rate limiter splitting a transfer into burst-size
+// reservations). It advances only once every other goroutine of the
+// process is blocked: a goroutine a wakeup made runnable gets to act —
+// submit its next op, register its next sleep — at the virtual instant
+// it woke, instead of the clock running ahead to some later deadline
+// while it waits for a CPU. Virtual timings are then independent of real
+// scheduling (the race detector, a loaded machine). While anything runs
+// Drive polls in short real sleeps.
 func (v *VirtualClock) Drive(stop <-chan struct{}) {
+	var buf []byte
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		if _, ok := v.AdvanceToNext(); !ok {
+		if v.Sleepers() == 0 || !othersBlocked(&buf) {
 			time.Sleep(20 * time.Microsecond)
+			continue
+		}
+		v.AdvanceToNext()
+	}
+}
+
+// othersBlocked reports whether every goroutine but the caller is parked
+// (on a channel, lock, select, real sleep, system call, …) rather than
+// running or runnable, reading the states off a runtime.Stack dump. A
+// system call counts as parked: some never return (os/signal's receive
+// loop). buf is reused across calls and grows as needed.
+func othersBlocked(buf *[]byte) bool {
+	if len(*buf) == 0 {
+		*buf = make([]byte, 64<<10)
+	}
+	n := runtime.Stack(*buf, true)
+	for n == len(*buf) {
+		*buf = make([]byte, 2*len(*buf))
+		n = runtime.Stack(*buf, true)
+	}
+	// Records are "goroutine N [state, …]:\n<frames>", blank-line
+	// separated; the caller's own comes first.
+	recs := bytes.Split((*buf)[:n], []byte("\n\n"))
+	for _, rec := range recs[1:] {
+		i := bytes.IndexByte(rec, '[')
+		j := bytes.IndexAny(rec, ",]")
+		if i < 0 || j < i {
+			continue
+		}
+		switch string(rec[i+1 : j]) {
+		case "running", "runnable", "preempted", "GC assist wait":
+			return false
 		}
 	}
+	return true
 }

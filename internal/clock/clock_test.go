@@ -1,6 +1,7 @@
 package clock
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -277,6 +278,36 @@ func TestVirtualDrive(t *testing.T) {
 	close(stop)
 	if got := v.Since(start); got != 70*time.Millisecond {
 		t.Fatalf("chunked sleeps advanced %v, want 70ms", got)
+	}
+}
+
+// TestVirtualDriveWaitsForRunnable: a goroutine that wakes and keeps
+// working before its next sleep registers that sleep at the instant it
+// woke, however long the work takes in real time — Drive does not run
+// ahead to another goroutine's later deadline meanwhile.
+func TestVirtualDriveWaitsForRunnable(t *testing.T) {
+	v := NewVirtual()
+	start := v.Now()
+	stop := make(chan struct{})
+	defer close(stop)
+	go v.Drive(stop)
+	go v.Sleep(time.Second) // a far deadline Drive could jump to
+	woke := make(chan time.Time)
+	go func() {
+		v.Sleep(10 * time.Millisecond)
+		for i := 0; i < 20000; i++ {
+			runtime.Gosched() // runnable throughout, never parked
+		}
+		v.Sleep(time.Millisecond)
+		woke <- v.Now()
+	}()
+	select {
+	case at := <-woke:
+		if got := at.Sub(start); got != 11*time.Millisecond {
+			t.Fatalf("second sleep woke at %v, want exactly 11ms", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drive did not complete the sleeps")
 	}
 }
 

@@ -48,8 +48,6 @@ func BenchmarkUpdatePhase(b *testing.B) {
 			cfg := MLPConfig(0, params, subgroup, benchTiers(1e9, 1e9, 4), nil)
 			cfg.AdaptivePlacement = false // identical placement across runs
 			cfg.UpdateWorkers = workers
-			cfg.PrefetchDepth = 6
-			cfg.IOWorkers = 4
 			cfg.HostCacheSlots = 3
 			eng, err := New(cfg)
 			if err != nil {
@@ -86,48 +84,41 @@ func BenchmarkUpdatePhaseMigration(b *testing.B) {
 			ReadBurst: 64 * 1024, WriteBurst: 64 * 1024,
 		})
 	}
-	for _, window := range []int{2, 4} {
-		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			nvme := mkTier("nvme", 1e9)
-			pfs := mkTier("pfs", 5e8)
-			tiers := []TierSpec{
-				{Tier: nvme, ReadBW: 1e9, WriteBW: 1e9},
-				{Tier: pfs, ReadBW: 5e8, WriteBW: 5e8},
-			}
-			cfg := MLPConfig(0, params, subgroup, tiers, nil)
-			cfg.AdaptivePlacement = true
-			cfg.MigrationWindow = window
-			cfg.PrefetchDepth = 6
-			cfg.IOWorkers = 4
-			cfg.HostCacheSlots = 3
-			eng, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(eng.Close)
-			b.SetBytes(params * 12)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					nvme.SetRates(25e7, 25e7)
-					pfs.SetRates(1e9, 1e9)
-				} else {
-					nvme.SetRates(1e9, 1e9)
-					pfs.SetRates(25e7, 25e7)
-				}
-				if _, err := eng.TrainIteration(i); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := eng.MigrationStats()
-			if st.Err != nil {
-				b.Fatal(st.Err)
-			}
-			b.ReportMetric(float64(st.Moves)/float64(b.N), "migrations/iter")
-		})
+	nvme := mkTier("nvme", 1e9)
+	pfs := mkTier("pfs", 5e8)
+	tiers := []TierSpec{
+		{Tier: nvme, ReadBW: 1e9, WriteBW: 1e9},
+		{Tier: pfs, ReadBW: 5e8, WriteBW: 5e8},
 	}
+	cfg := MLPConfig(0, params, subgroup, tiers, nil)
+	cfg.AdaptivePlacement = true
+	cfg.HostCacheSlots = 3
+	eng, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(eng.Close)
+	b.SetBytes(params * 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			nvme.SetRates(25e7, 25e7)
+			pfs.SetRates(1e9, 1e9)
+		} else {
+			nvme.SetRates(1e9, 1e9)
+			pfs.SetRates(25e7, 25e7)
+		}
+		if _, err := eng.TrainIteration(i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := eng.MigrationStats()
+	if st.Err != nil {
+		b.Fatal(st.Err)
+	}
+	b.ReportMetric(float64(st.Moves)/float64(b.N), "migrations/iter")
 }
 
 // benchHash spreads a parameter index into 32 pseudo-random bits
@@ -168,8 +159,6 @@ func BenchmarkUpdatePhaseCompressed(b *testing.B) {
 			cfg := MLPConfig(0, params, subgroup, tiers, nil)
 			cfg.AdaptivePlacement = false
 			cfg.UpdateWorkers = 2
-			cfg.PrefetchDepth = 4
-			cfg.IOWorkers = 4
 			cfg.HostCacheSlots = 3
 			// Converge every parameter to its own target: the state ends up
 			// clustered in exponent but fully varied in mantissa — the

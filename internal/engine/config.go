@@ -21,7 +21,6 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"github.com/datastates/mlpoffload/internal/clock"
 	"github.com/datastates/mlpoffload/internal/fp16"
@@ -30,7 +29,6 @@ import (
 	"github.com/datastates/mlpoffload/internal/storage"
 	"github.com/datastates/mlpoffload/internal/tiercodec"
 	"github.com/datastates/mlpoffload/internal/tierlock"
-	"github.com/datastates/mlpoffload/internal/wire"
 )
 
 // TierSpec couples a storage tier with its nominal bandwidths for
@@ -101,41 +99,21 @@ type Config struct {
 	// concurrency control.
 	Locks *tierlock.Manager
 	// AdaptivePlacement re-plans the subgroup→tier split each iteration
-	// from observed bandwidths (EWMA); otherwise the nominal split is
-	// kept.
+	// from observed bandwidths (EWMA) and runs the live migrator that moves
+	// offloaded subgroups to their newly planned tiers (see migrate.go);
+	// otherwise the nominal split is kept.
 	AdaptivePlacement bool
-	// MigrationWindow bounds the staging buffers (and concurrent copies)
-	// of the live migrator that moves offloaded subgroups to their newly
-	// planned tiers after an adaptive replan. Without it a replanned
-	// subgroup's bytes only move when it happens to pass through the host
-	// cache, so cold subgroups can stay on the wrong tier indefinitely.
-	// 0 defaults to 2; negative disables live migration (plan drift is
-	// then only repaired by eviction traffic, the pre-migration
-	// behaviour). Ignored unless AdaptivePlacement is set.
-	MigrationWindow int
 
 	// HostCacheSlots is the number of subgroups the host can keep resident
 	// between phases (the paper's "minimum of three": flushing, updating,
 	// prefetching).
 	HostCacheSlots int
-	// PrefetchDepth bounds in-flight fetches during the update phase.
-	// 0 auto-tunes to max(2, UpdateWorkers+len(Tiers)) — enough read-ahead
-	// to keep every update worker fed with one fetch in flight per storage
-	// path; negative pins the pre-auto-tune default of 2.
-	PrefetchDepth int
-	// IOWorkers is the per-tier async I/O parallelism.
-	IOWorkers int
-	// CPUWorkers is the legacy per-call update-kernel parallelism (each
-	// StepFP16Parallel call spawns its own goroutines). Superseded by
-	// KernelWorkers; kept for the ablation of pooled vs per-call fan-out.
-	CPUWorkers int
 	// KernelWorkers sizes the engine-wide kernel worker pool that the
 	// Adam update and the FP16/BF16 bulk codecs draw from — one shared
-	// pool instead of per-call goroutine churn, and one knob instead of
-	// per-site CPUWorkers. Chunk boundaries are fixed (kernpool.ChunkElems),
-	// so parameters are bit-identical at any worker count. 0 auto-tunes to
-	// min(GOMAXPROCS, 16); 1 or negative runs kernels serially on the
-	// calling goroutine (the pre-pool behaviour).
+	// pool instead of per-call goroutine churn. Chunk boundaries are fixed
+	// (kernpool.ChunkElems), so parameters are bit-identical at any worker
+	// count. 0 auto-tunes to min(GOMAXPROCS, 16); 1 runs kernels serially
+	// on the calling goroutine.
 	KernelWorkers int
 	// CoalesceFetches bounds the issuer's read-ahead coalescing: runs of
 	// up to this many adjacent same-tier subgroup fetches are submitted as
@@ -143,18 +121,23 @@ type Config struct {
 	// op each — one scheduling decision, cached descriptors, one device
 	// pass for the run. Only active in SkipGradFlush mode (the baseline's
 	// interleaved gradient reads break up runs anyway). 0 auto-tunes to
-	// min(4, PrefetchDepth); 1 or negative disables coalescing.
+	// min(4, prefetch depth); 1 disables coalescing; values above the
+	// prefetch depth are clamped to it.
 	CoalesceFetches int
 	// UpdateWorkers is the update-phase pipeline parallelism: how many
 	// subgroups may run their Adam update concurrently while the issuer
-	// keeps PrefetchDepth fetches in flight. 1 reproduces the sequential
-	// single-goroutine update phase exactly; higher values overlap the
-	// CPU-side update of subgroup k with tier reads for k+1..k+d and the
-	// async flush of k-1, which pays off whenever the phase is I/O-bound
-	// on a slow or asymmetric multi-path tier. The commit order (and thus
-	// the cache-friendly alternating-order residency) is preserved at any
-	// worker count. 0 auto-tunes to GOMAXPROCS/2 clamped to [1, 4];
-	// negative pins 1 (strictly sequential).
+	// keeps the prefetch depth's fetches in flight. 1 reproduces the
+	// sequential single-goroutine update phase exactly; higher values
+	// overlap the CPU-side update of subgroup k with tier reads for
+	// k+1..k+d and the async flush of k-1, which pays off whenever the
+	// phase is I/O-bound on a slow or asymmetric multi-path tier. The
+	// commit order (and thus the cache-friendly alternating-order
+	// residency) is preserved at any worker count. 0 auto-tunes to
+	// GOMAXPROCS/2 clamped to [1, 4].
+	//
+	// The prefetch depth — how many fetches the issuer keeps in flight —
+	// follows from it: max(2, UpdateWorkers+len(Tiers)), one fetch per
+	// update worker plus one per storage path (see prefetchDepth).
 	UpdateWorkers int
 
 	// Hyper are the Adam hyperparameters.
@@ -176,25 +159,14 @@ type Config struct {
 	// initialization (layernorm gains of 1 etc.).
 	InitParams func(globalIndex int64) float32
 
-	// D2HBandwidth throttles device<->host transfers in bytes/second
-	// (0 = unthrottled). Each engine owns its link (one PCIe per GPU).
-	D2HBandwidth float64
-
 	// CorruptRetries bounds how many times an update-phase fetch that
 	// failed integrity validation (tiercodec.ErrCorrupt) is re-read
 	// before the phase fails. Corruption injected in flight (a flaky
 	// link, a torn transfer) re-reads clean; corruption at rest keeps
 	// failing and surfaces as a clean phase error instead of a silently
-	// consumed garbage update. 0 defaults to 2; negative disables
-	// retries.
+	// consumed garbage update. The re-reads are paced by retryBackoff on
+	// Clock. 0 defaults to 2; negative disables retries.
 	CorruptRetries int
-	// RetryBackoff paces the corrupt re-reads: the same clock-driven
-	// jittered-exponential policy (internal/wire) the elastic transport
-	// uses, so a burst of transient corruption backs off instead of
-	// hammering the tier with immediate re-reads. The zero value defaults
-	// to Base 1ms / Max 20ms / Factor 2, seeded with the rank; sleeps run
-	// on Clock, so virtual-clock tests assert exact pacing.
-	RetryBackoff wire.Backoff
 
 	// LossScaling enables dynamic loss scaling: gradient overflow (FP16
 	// Inf/NaN) skips the optimizer step and halves the scale, as
@@ -208,7 +180,7 @@ type Config struct {
 	ClipNorm float64
 
 	// Clock is the engine-wide time source: it reaches the aio engines'
-	// op stamps and aging pick, the D2H limiter's pacing, and the phase
+	// op stamps and aging pick, the corrupt re-read pacing, and the phase
 	// stopwatches. nil means the wall clock (production); a virtual clock
 	// (internal/clock) runs the whole engine on simulated time, which is
 	// how the timing test suites and `iobench -virtual` finish bandwidth
@@ -228,9 +200,6 @@ func BaselineConfig(rank int, params, subgroupParams int64, tiers []TierSpec) Co
 		SkipGradFlush:  false,
 		Locks:          nil,
 		HostCacheSlots: 3,
-		PrefetchDepth:  2,
-		IOWorkers:      2,
-		CPUWorkers:     1,
 		UpdateWorkers:  1,
 		KernelWorkers:  1,
 		Hyper:          optim.DefaultHyper(),
@@ -250,7 +219,6 @@ func MLPConfig(rank int, params, subgroupParams int64, tiers []TierSpec, locks *
 	c.Locks = locks
 	c.AdaptivePlacement = true
 	c.UpdateWorkers = 0
-	c.PrefetchDepth = 0
 	c.KernelWorkers = 0
 	c.CoalesceFetches = 0
 	return c
@@ -281,29 +249,24 @@ func (c *Config) validate() error {
 	if c.HostCacheSlots < 0 {
 		return fmt.Errorf("engine: negative HostCacheSlots")
 	}
+	for _, w := range []struct {
+		name string
+		v    int
+	}{
+		{"UpdateWorkers", c.UpdateWorkers},
+		{"KernelWorkers", c.KernelWorkers},
+		{"CoalesceFetches", c.CoalesceFetches},
+	} {
+		if w.v < 0 {
+			return fmt.Errorf("engine: %s must be 0 (auto) or positive, got %d", w.name, w.v)
+		}
+	}
 	c.autotune()
-	if c.IOWorkers <= 0 {
-		c.IOWorkers = 2
-	}
-	if c.CPUWorkers <= 0 {
-		c.CPUWorkers = 1
-	}
-	if c.MigrationWindow == 0 {
-		c.MigrationWindow = 2
-	}
 	if c.CorruptRetries == 0 {
 		c.CorruptRetries = 2
 	}
 	if c.CorruptRetries < 0 {
 		c.CorruptRetries = 0
-	}
-	if c.RetryBackoff == (wire.Backoff{}) {
-		c.RetryBackoff = wire.Backoff{
-			Base:   time.Millisecond,
-			Max:    20 * time.Millisecond,
-			Factor: 2,
-			Seed:   uint64(c.Rank),
-		}
 	}
 	if c.GradAccumSteps <= 0 {
 		c.GradAccumSteps = 1
@@ -316,10 +279,9 @@ func (c *Config) validate() error {
 
 // autotune resolves the zero-valued pipeline widths from GOMAXPROCS
 // and the tier count — measurement-free derivations, so the resolved
-// config is reproducible on a given machine shape. Negative values pin
-// the conservative pre-auto-tune defaults; positive values are taken
-// as-is. None of the knobs affect numerics (deterministic chunking and
-// commit order), only overlap.
+// config is reproducible on a given machine shape. Positive values are
+// taken as-is. None of the widths affect numerics (deterministic chunking
+// and commit order), only overlap.
 func (c *Config) autotune() {
 	procs := runtime.GOMAXPROCS(0)
 	if c.UpdateWorkers == 0 {
@@ -327,37 +289,33 @@ func (c *Config) autotune() {
 		// fan-out and I/O completion. Past ~4 the update phase is
 		// tier-bandwidth-bound, not pipeline-bound.
 		c.UpdateWorkers = min(max(procs/2, 1), 4)
-	} else if c.UpdateWorkers < 0 {
-		c.UpdateWorkers = 1
-	}
-	if c.PrefetchDepth == 0 {
-		// One in-flight fetch per update worker plus one per storage path
-		// keeps every consumer and every device busy.
-		c.PrefetchDepth = max(2, c.UpdateWorkers+len(c.Tiers))
-	} else if c.PrefetchDepth < 0 {
-		c.PrefetchDepth = 2
 	}
 	if c.KernelWorkers == 0 {
 		// The kernels are memory-bandwidth-bound; past ~16 workers extra
 		// chunk handoffs outweigh the remaining bandwidth.
 		c.KernelWorkers = min(procs, 16)
-	} else if c.KernelWorkers < 0 {
-		c.KernelWorkers = 1
 	}
+	depth := c.prefetchDepth()
 	if c.CoalesceFetches == 0 {
 		if c.SkipGradFlush {
-			c.CoalesceFetches = min(4, c.PrefetchDepth)
+			c.CoalesceFetches = min(4, depth)
 		} else {
 			c.CoalesceFetches = 1
 		}
-	} else if c.CoalesceFetches < 0 {
-		c.CoalesceFetches = 1
 	}
-	if c.CoalesceFetches > c.PrefetchDepth {
+	if c.CoalesceFetches > depth {
 		// A batch wider than the prefetch window could not assemble
 		// without stalling the issuer.
-		c.CoalesceFetches = c.PrefetchDepth
+		c.CoalesceFetches = depth
 	}
+}
+
+// prefetchDepth bounds the update phase's in-flight fetches: one per
+// update worker plus one per storage path keeps every consumer and every
+// device busy, and never fewer than 2 (DeepNVMe's double buffering).
+// Valid once UpdateWorkers is resolved.
+func (c *Config) prefetchDepth() int {
+	return max(2, c.UpdateWorkers+len(c.Tiers))
 }
 
 // defaultGrad is a deterministic pseudo-gradient: bounded, varies with

@@ -341,7 +341,7 @@ func TestInitialOffloadFailureIsClean(t *testing.T) {
 				t.Fatalf("initialOffload = %v, want the tier's error", err)
 			}
 			e.Close()
-			quota := e.cfg.PrefetchDepth + e.cfg.UpdateWorkers + min(e.cfg.HostCacheSlots, subgroups) + 2
+			quota := e.prefetchDepth + e.cfg.UpdateWorkers + min(e.cfg.HostCacheSlots, subgroups) + 2
 			if free := e.fetchPool.Free(); free != quota {
 				t.Fatalf("fetch pool: %d of %d buffers back after a failed initial offload", free, quota)
 			}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/datastates/mlpoffload/internal/aio"
 	"github.com/datastates/mlpoffload/internal/clock"
@@ -17,14 +18,29 @@ import (
 	"github.com/datastates/mlpoffload/internal/metrics"
 	"github.com/datastates/mlpoffload/internal/optim"
 	"github.com/datastates/mlpoffload/internal/placement"
-	"github.com/datastates/mlpoffload/internal/ratelimit"
 	"github.com/datastates/mlpoffload/internal/storage"
 	"github.com/datastates/mlpoffload/internal/subgroup"
 	"github.com/datastates/mlpoffload/internal/tiercodec"
+	"github.com/datastates/mlpoffload/internal/wire"
 )
 
 // locHost marks a subgroup whose FP32 state is resident in host memory.
 const locHost = -1
+
+const (
+	// ioWorkers is each tier's async I/O parallelism (aio.Config.Workers).
+	ioWorkers = 2
+	// migrators is the number of live-migration workers an adaptive
+	// engine runs, each staging one subgroup at a time through the
+	// migration pool — the bound on migration memory and concurrency.
+	migrators = 2
+)
+
+// retryBackoff paces corrupt re-reads (awaitRead, Restore): the same
+// clock-driven exponential policy (internal/wire) the elastic transport
+// uses, so a burst of transient corruption backs off instead of
+// hammering the tier with immediate re-reads.
+var retryBackoff = wire.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond, Factor: 2}
 
 // Engine is one worker's offloading runtime.
 type Engine struct {
@@ -64,12 +80,12 @@ type Engine struct {
 	fetchPool *hostcache.BufferPool
 	flushPool *hostcache.BufferPool
 	gradPool  *hostcache.BufferPool
-	// fetchSem enforces the config contract that PrefetchDepth bounds
-	// in-flight fetches: the buffer pools are sized generously to avoid
-	// pipeline deadlocks, so they cannot double as the fetch bound.
-	fetchSem chan struct{}
-
-	d2h *ratelimit.Limiter
+	// prefetchDepth is the resolved Config.prefetchDepth. fetchSem holds
+	// the in-flight fetches to it: the buffer pools are sized generously
+	// to avoid pipeline deadlocks, so they cannot double as the fetch
+	// bound.
+	prefetchDepth int
+	fetchSem      chan struct{}
 
 	// kern is the engine-wide kernel worker pool (KernelWorkers > 1):
 	// the Adam update and the FP16/BF16 bulk codecs fan their fixed-size
@@ -203,7 +219,7 @@ func newEngine(cfg Config) (*Engine, error) {
 		// tier's objects are uniformly encoded.
 		cfg.Tiers[i].Tier = ct
 	}
-	e := &Engine{cfg: cfg, clk: clock.Or(cfg.Clock), stat: stat}
+	e := &Engine{cfg: cfg, clk: clock.Or(cfg.Clock), stat: stat, prefetchDepth: cfg.prefetchDepth()}
 	if cfg.KernelWorkers > 1 {
 		e.kern = kernpool.New(cfg.KernelWorkers)
 	}
@@ -214,26 +230,25 @@ func newEngine(cfg Config) (*Engine, error) {
 	stateBuf := subgroup.StateBytes(maxLen)
 	// inflight bounds fetches issued ahead of the update workers; the grad
 	// pool holds UpdateWorkers extra buffers so a worker's synchronous
-	// gradient read can never deadlock against queued prefetches.
-	inflight := cfg.PrefetchDepth + cfg.UpdateWorkers
+	// gradient read can never deadlock against queued prefetches. Every
+	// pool is lazy — a buffer is materialized only when training cycles
+	// it — so the grad pool costs nothing in SkipGradFlush mode, which
+	// never touches it, and a cache sized "whole shard fits" does not
+	// preallocate the shard.
+	inflight := e.prefetchDepth + cfg.UpdateWorkers
 	// The fetch pool also backs the zero-copy states of host-resident
 	// subgroups (a fetched buffer is adopted in place and returned only
 	// when its eviction flush lands), so its quota covers the in-flight
-	// window plus the largest possible resident set. Lazy: a buffer is
-	// materialized only when training actually cycles it, so a cache
-	// sized "whole shard fits" does not preallocate the shard. The quota
-	// replaces — not adds to — the per-fetch State allocations of the
-	// copying path: resident state used to be heap-allocated anyway.
-	resident := cfg.HostCacheSlots
-	if m < resident {
-		resident = m
-	}
-	e.fetchPool = hostcache.NewBufferPoolLazy(inflight+resident+2, stateBuf)
+	// window plus the largest possible resident set. The quota replaces —
+	// not adds to — the per-fetch State allocations of the copying path:
+	// resident state used to be heap-allocated anyway.
+	resident := min(cfg.HostCacheSlots, m)
+	e.fetchPool = hostcache.NewBufferPool(inflight+resident+2, stateBuf)
 	// Only the copying fallback (a state that could not alias its fetched
-	// buffer) marshals through the flush pool, so its buffers are lazy too.
-	e.flushPool = hostcache.NewBufferPoolLazy(2, stateBuf)
+	// buffer) marshals through the flush pool.
+	e.flushPool = hostcache.NewBufferPool(2, stateBuf)
 	e.gradPool = hostcache.NewBufferPool(inflight+cfg.UpdateWorkers+1, 4*maxLen)
-	e.fetchSem = make(chan struct{}, cfg.PrefetchDepth)
+	e.fetchSem = make(chan struct{}, e.prefetchDepth)
 
 	e.names = make([]string, len(cfg.Tiers))
 	e.est = placement.NewEstimator(0.5)
@@ -241,8 +256,8 @@ func newEngine(cfg Config) (*Engine, error) {
 		e.names[i] = t.Tier.Name()
 		e.est.Seed(t.Tier.Name(), t.ReadBW, t.WriteBW)
 		e.aios = append(e.aios, aio.New(t.Tier, aio.Config{
-			Workers:    cfg.IOWorkers,
-			QueueDepth: 4 * cfg.PrefetchDepth,
+			Workers:    ioWorkers,
+			QueueDepth: 4 * e.prefetchDepth,
 			Locks:      cfg.Locks,
 			Clock:      e.clk,
 		}))
@@ -262,9 +277,9 @@ func newEngine(cfg Config) (*Engine, error) {
 	e.migQueued = make(map[int]bool)
 	e.migStats.orphans = make(map[string]struct{})
 	e.migCond = sync.NewCond(&e.migMu)
-	if cfg.AdaptivePlacement && cfg.MigrationWindow > 0 {
-		e.migPool = hostcache.NewBufferPool(cfg.MigrationWindow, stateBuf)
-		for i := 0; i < cfg.MigrationWindow; i++ {
+	if cfg.AdaptivePlacement {
+		e.migPool = hostcache.NewBufferPool(migrators, stateBuf)
+		for i := 0; i < migrators; i++ {
 			e.migWG.Add(1)
 			go e.migrator()
 		}
@@ -279,9 +294,6 @@ func newEngine(cfg Config) (*Engine, error) {
 	for i, sg := range e.shard.Subgroups {
 		e.sgOffset[i] = off
 		off += int64(sg.Len())
-	}
-	if cfg.D2HBandwidth > 0 {
-		e.d2h = ratelimit.NewLimiter(cfg.D2HBandwidth, cfg.D2HBandwidth/4, e.clk)
 	}
 	if cfg.LossScaling {
 		e.scaler = optim.NewLossScaler()
@@ -448,10 +460,10 @@ func (e *Engine) IntegrityRetries() int64 { return e.corruptRetries.Load() }
 
 // awaitRead waits for a submitted read, re-reading on integrity failure:
 // a fetch that completed with tiercodec.ErrCorrupt is resubmitted at
-// DemandFetch priority up to CorruptRetries times, paced by the
-// RetryBackoff policy on the engine clock (immediate re-reads hammer a
-// tier that is momentarily flaky; the jittered-exponential pause is the
-// same discipline network retries use). In-flight corruption (a flaky
+// DemandFetch priority up to CorruptRetries times, paced by
+// retryBackoff on the engine clock (immediate re-reads hammer a
+// tier that is momentarily flaky; the exponential pause is the same
+// discipline network retries use). In-flight corruption (a flaky
 // transfer) re-reads clean from the intact stored object; corruption at
 // rest keeps failing and the final ErrCorrupt propagates — the caller
 // fails cleanly, never consuming garbage. The returned op is the one
@@ -461,7 +473,7 @@ func (e *Engine) awaitRead(tier int, op *aio.Op, key string, dst []byte) (*aio.O
 	err := op.Wait()
 	for r := 0; err != nil && errors.Is(err, tiercodec.ErrCorrupt) && r < e.cfg.CorruptRetries; r++ {
 		e.corruptRetries.Add(1)
-		e.clk.Sleep(e.cfg.RetryBackoff.Delay(r))
+		e.clk.Sleep(retryBackoff.Delay(r))
 		rop, rerr := e.aios[tier].SubmitReadClass(aio.DemandFetch, key, dst)
 		if rerr != nil {
 			return op, err // cannot resubmit; surface the corruption
@@ -482,13 +494,6 @@ func (e *Engine) readSyncRetry(tier int, key string, dst []byte) error {
 	}
 	_, err = e.awaitRead(tier, op, key, dst)
 	return err
-}
-
-// d2hTransfer charges a device<->host transfer against the PCIe budget.
-func (e *Engine) d2hTransfer(bytes int64) {
-	if e.d2h != nil {
-		_ = e.d2h.WaitN(context.Background(), bytes)
-	}
 }
 
 // flushSync serializes subgroup i's state and writes it synchronously,
@@ -561,8 +566,6 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 				g32[j] = e.cfg.Grad(iter, off+int64(j), p)
 			}
 		}
-		// D2H: FP16 gradients leave the device.
-		e.d2hTransfer(int64(n) * 2)
 		if accumStep == 0 {
 			fp16.EncodeOn(e.kern, sg.Grads16, g32)
 		} else {

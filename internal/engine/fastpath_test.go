@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/datastates/mlpoffload/internal/storage"
@@ -36,7 +37,6 @@ func TestCoalescedFetchIdenticalParams(t *testing.T) {
 		cfg.AdaptivePlacement = false // same placement for every run
 		cfg.HostCacheSlots = 3        // most subgroups miss every phase
 		cfg.UpdateWorkers = 2
-		cfg.PrefetchDepth = 6
 		cfg.KernelWorkers = 1
 		cfg.CoalesceFetches = coalesce
 		return gatherAfter(t, cfg, 5)
@@ -74,7 +74,6 @@ func TestCoalescedFetchAccounting(t *testing.T) {
 	cfg.AdaptivePlacement = false
 	cfg.HostCacheSlots = 3
 	cfg.UpdateWorkers = 2
-	cfg.PrefetchDepth = 4
 	cfg.CoalesceFetches = 4
 	e, err := New(cfg)
 	if err != nil {
@@ -105,7 +104,6 @@ func TestCoalescedFetchConvergence(t *testing.T) {
 	cfg.AdaptivePlacement = false
 	cfg.HostCacheSlots = 3
 	cfg.CoalesceFetches = 4
-	cfg.PrefetchDepth = 4
 	cfg.UpdateWorkers = 2
 	params := gatherAfter(t, cfg, 300)
 	for i, p := range params {
@@ -133,7 +131,6 @@ func TestKernelWorkersIdenticalParams(t *testing.T) {
 				}
 				cfg.AdaptivePlacement = false
 				cfg.UpdateWorkers = 1
-				cfg.PrefetchDepth = 2
 				cfg.CoalesceFetches = 1
 				cfg.KernelWorkers = workers
 				return gatherAfter(t, cfg, 3)
@@ -177,7 +174,6 @@ func TestKernelWorkersNonFiniteGrads(t *testing.T) {
 		cfg.LossScaling = true
 		cfg.Grad = nastyGrad
 		cfg.UpdateWorkers = 1
-		cfg.PrefetchDepth = 2
 		cfg.CoalesceFetches = 1
 		cfg.KernelWorkers = workers
 		e, err := New(cfg)
@@ -215,66 +211,64 @@ func TestKernelWorkersNonFiniteGrads(t *testing.T) {
 }
 
 // TestAutotuneWidths: the measurement-free derivations of the pipeline
-// widths from GOMAXPROCS and the tier count, and the pin/passthrough
-// semantics of negative and positive values.
+// widths from GOMAXPROCS and the tier count, the passthrough of positive
+// values, and the rejection of negative ones. The presets' resolved
+// shapes are pinned as literal tables: they are what bench/e2e runs.
 func TestAutotuneWidths(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	base := func() Config {
-		c := MLPConfig(0, 1000, 100, memTiers(500, 300), nil)
-		return c
+	type widths struct{ uw, depth, kw, coalesce int }
+	resolved := func(c Config) widths {
+		t.Helper()
+		if err := c.validate(); err != nil {
+			t.Fatal(err)
+		}
+		return widths{c.UpdateWorkers, c.prefetchDepth(), c.KernelWorkers, c.CoalesceFetches}
 	}
+	mlp := func() Config { return MLPConfig(0, 1000, 100, memTiers(500, 300), nil) }
 
-	c := base()
-	if err := c.validate(); err != nil {
-		t.Fatal(err)
+	if ioWorkers != 2 {
+		t.Fatalf("ioWorkers = %d, want 2", ioWorkers)
 	}
-	wantUW := min(max(procs/2, 1), 4)
-	if c.UpdateWorkers != wantUW {
-		t.Fatalf("UpdateWorkers auto = %d, want %d", c.UpdateWorkers, wantUW)
-	}
-	wantPD := max(2, wantUW+2)
-	if c.PrefetchDepth != wantPD {
-		t.Fatalf("PrefetchDepth auto = %d, want %d", c.PrefetchDepth, wantPD)
-	}
-	if want := min(procs, 16); c.KernelWorkers != want {
-		t.Fatalf("KernelWorkers auto = %d, want %d", c.KernelWorkers, want)
-	}
-	if want := min(4, wantPD); c.CoalesceFetches != want {
-		t.Fatalf("CoalesceFetches auto = %d, want %d", c.CoalesceFetches, want)
-	}
-
-	// Negative pins the conservative pre-auto-tune defaults.
-	c = base()
-	c.UpdateWorkers, c.PrefetchDepth, c.KernelWorkers, c.CoalesceFetches = -1, -1, -1, -1
-	if err := c.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.UpdateWorkers != 1 || c.PrefetchDepth != 2 || c.KernelWorkers != 1 || c.CoalesceFetches != 1 {
-		t.Fatalf("negative pins = (%d,%d,%d,%d), want (1,2,1,1)",
-			c.UpdateWorkers, c.PrefetchDepth, c.KernelWorkers, c.CoalesceFetches)
+	// BaselineConfig pins the paper's fixed shape (1, 2, 1, 1) at any
+	// GOMAXPROCS. MLPConfig over two tiers: UpdateWorkers =
+	// clamp(procs/2, 1, 4), depth = max(2, UpdateWorkers+2), KernelWorkers
+	// = min(procs, 16), CoalesceFetches = min(4, depth).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		procs int
+		want  widths
+	}{
+		{1, widths{1, 3, 1, 3}},
+		{2, widths{1, 3, 2, 3}},
+		{4, widths{2, 4, 4, 4}},
+		{8, widths{4, 6, 8, 4}},
+	} {
+		runtime.GOMAXPROCS(tc.procs)
+		if got, want := resolved(BaselineConfig(0, 1000, 100, memTiers(500))), (widths{1, 2, 1, 1}); got != want {
+			t.Errorf("GOMAXPROCS=%d: BaselineConfig resolves to %+v, want %+v", tc.procs, got, want)
+		}
+		if got := resolved(mlp()); got != tc.want {
+			t.Errorf("GOMAXPROCS=%d: MLPConfig resolves to %+v, want %+v", tc.procs, got, tc.want)
+		}
 	}
 
 	// Positive passes through, except CoalesceFetches clamps to the
 	// prefetch window it must assemble inside.
-	c = base()
-	c.UpdateWorkers, c.PrefetchDepth, c.KernelWorkers, c.CoalesceFetches = 3, 2, 5, 9
-	if err := c.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.UpdateWorkers != 3 || c.KernelWorkers != 5 {
-		t.Fatalf("explicit widths rewritten: UW=%d KW=%d", c.UpdateWorkers, c.KernelWorkers)
-	}
-	if c.CoalesceFetches != 2 {
-		t.Fatalf("CoalesceFetches = %d, want clamp to PrefetchDepth=2", c.CoalesceFetches)
+	c := mlp()
+	c.UpdateWorkers, c.KernelWorkers, c.CoalesceFetches = 3, 5, 9
+	if got, want := resolved(c), (widths{3, 5, 5, 5}); got != want {
+		t.Fatalf("explicit widths resolve to %+v, want %+v", got, want)
 	}
 
-	// Baseline mode auto-resolves coalescing off.
-	b := BaselineConfig(0, 1000, 100, memTiers(500))
-	b.CoalesceFetches = 0
-	if err := b.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if b.CoalesceFetches != 1 {
-		t.Fatalf("baseline CoalesceFetches auto = %d, want 1", b.CoalesceFetches)
+	// Negative is an error naming the field.
+	for field, set := range map[string]func(*Config){
+		"UpdateWorkers":   func(c *Config) { c.UpdateWorkers = -1 },
+		"KernelWorkers":   func(c *Config) { c.KernelWorkers = -1 },
+		"CoalesceFetches": func(c *Config) { c.CoalesceFetches = -1 },
+	} {
+		c := mlp()
+		set(&c)
+		if err := c.validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s = -1: validate = %v, want an error naming the field", field, err)
+		}
 	}
 }

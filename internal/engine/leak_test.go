@@ -44,7 +44,6 @@ func TestAdoptedStateSurvivesTransientFaults(t *testing.T) {
 			cfg := BaselineConfig(0, 1200, 60, []TierSpec{{Tier: tier, ReadBW: 1e6, WriteBW: 1e6}})
 			cfg.SkipGradFlush = mode.skipGradFlush
 			cfg.UpdateWorkers = 2
-			cfg.PrefetchDepth = 2
 			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -89,9 +88,9 @@ func TestAdoptedStateSurvivesTransientFaults(t *testing.T) {
 			// in flight; the locked setter keeps the disarm race-free.
 			tier.SetFailEvery(0)
 			e.Drain()
-			quota := (cfg.PrefetchDepth + cfg.UpdateWorkers) + e.Subgroups() + 2
+			quota := (e.prefetchDepth + cfg.UpdateWorkers) + e.Subgroups() + 2
 			if slots := cfg.HostCacheSlots; slots < e.Subgroups() {
-				quota = (cfg.PrefetchDepth + cfg.UpdateWorkers) + slots + 2
+				quota = (e.prefetchDepth + cfg.UpdateWorkers) + slots + 2
 			}
 			held := 0
 			for _, sg := range e.shard.Subgroups {

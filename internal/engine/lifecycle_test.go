@@ -111,7 +111,9 @@ func TestFailedReclaimsCountedAsOrphans(t *testing.T) {
 		tune   func(*Config)
 		suffix string // some refused key must carry it
 	}{
-		{"eviction", func(c *Config) { c.MigrationWindow = -1 }, ".opt"},
+		// Half the shard host-resident: at every replan six subgroups
+		// the migrator cannot touch are evicted onto their new tiers.
+		{"eviction", func(c *Config) { c.HostCacheSlots = 6 }, ".opt"},
 		{"migration", func(c *Config) {}, ".opt"},
 		{"gradient", func(c *Config) { c.SkipGradFlush = false }, ".grad"},
 	}

@@ -16,7 +16,7 @@ import (
 // subgroups stayed on the wrong tier indefinitely, so the plan and
 // reality drifted apart. The migrator closes that gap. After each replan
 // the update phase enqueues every offloaded subgroup whose actual backing
-// tier (loc) disagrees with the plan; MigrationWindow background workers
+// tier (loc) disagrees with the plan; two background workers (migrators)
 // drain the queue at aio.Migration priority — the lowest class, so
 // migration traffic can never delay a demand fetch, while the scheduler's
 // aging still guarantees it progresses.
@@ -35,7 +35,7 @@ import (
 //	   about to abandon.
 //	2. Copy: read the state object from the source tier and write it to
 //	   the destination, both at Migration class, staged through one of
-//	   MigrationWindow pooled buffers (the bound on migration memory and
+//	   the migrators' pooled buffers (the bound on migration memory and
 //	   concurrency). The read queues behind an eviction write still in
 //	   flight on the source, the write behind a reclaim still in flight
 //	   on the destination — by submission order, no waiting. Both are
@@ -122,7 +122,7 @@ func (e *Engine) MisplacedSubgroups() int {
 
 // scheduleMigrations enqueues every offloaded subgroup whose backing tier
 // disagrees with the (fresh) plan. Called by the update phase right after
-// an adaptive replan; a no-op when live migration is disabled.
+// an adaptive replan; a no-op without AdaptivePlacement.
 func (e *Engine) scheduleMigrations() {
 	if e.migPool == nil {
 		return
@@ -177,7 +177,7 @@ func (e *Engine) migrationDone() {
 }
 
 // drainMigrations blocks until the migration queue is empty and no copy
-// is in flight. A no-op when live migration is disabled.
+// is in flight. A no-op without AdaptivePlacement.
 func (e *Engine) drainMigrations() {
 	if e.migPool == nil {
 		return
@@ -198,8 +198,8 @@ func (e *Engine) stopMigrators() {
 	e.migWG.Wait()
 }
 
-// migrator is one background migration worker; MigrationWindow of them
-// run per engine, each staging through one pooled buffer at a time.
+// migrator is one background migration worker; an adaptive engine
+// runs migrators of them, each staging through one pooled buffer at a time.
 func (e *Engine) migrator() {
 	defer e.migWG.Done()
 	for {

@@ -87,7 +87,6 @@ func TestMigrationConvergesAfterBandwidthShift(t *testing.T) {
 	// placement, no migration. Placement must never affect values.
 	refCfg := mkCfg(memTiers(1000, 600))
 	refCfg.AdaptivePlacement = false
-	refCfg.MigrationWindow = -1
 	ref, err := New(refCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,28 +141,6 @@ func TestMigrationConvergesAfterBandwidthShift(t *testing.T) {
 		if want[i] != got[i] {
 			t.Fatalf("param %d diverged: %v != %v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestMigrationDisabledKeepsLegacyBehaviour pins the MigrationWindow<0
-// escape hatch: plan drift is then only repaired by eviction traffic and
-// the migrator never runs.
-func TestMigrationDisabledKeepsLegacyBehaviour(t *testing.T) {
-	tiers, _, pfs := throttledPair(2e6, 1e6)
-	cfg := MLPConfig(0, 1200, 100, tiers, nil)
-	cfg.Grad = QuadraticGradFn(2)
-	cfg.MigrationWindow = -1
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	trainRange(t, e, 0, 3)
-	pfs.SetRates(1e5, 1e5)
-	trainRange(t, e, 3, 8)
-	e.Drain()
-	if st := e.MigrationStats(); st.Moves != 0 || st.Abandoned != 0 {
-		t.Errorf("migrator ran while disabled: %+v", st)
 	}
 }
 
@@ -271,13 +248,11 @@ func TestMigrationChurnRaces(t *testing.T) {
 		cfg.Grad = QuadraticGradFn(1)
 		cfg.Hyper.LR = 0.03
 		cfg.UpdateWorkers = 2
-		cfg.PrefetchDepth = 3
 		return cfg
 	}
 
 	refCfg := mk(memTiers(1000, 600))
 	refCfg.AdaptivePlacement = false
-	refCfg.MigrationWindow = -1
 	ref, err := New(refCfg)
 	if err != nil {
 		t.Fatal(err)

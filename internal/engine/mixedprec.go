@@ -206,7 +206,7 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 	// checkpoint staging buffers across all three streams (snapshot
 	// copies, flush fetches, in-flight checkpoint writes); a token is
 	// held from buffer allocation until its last write lands.
-	window := e.cfg.PrefetchDepth + 2
+	window := e.prefetchDepth + 2
 	sem := make(chan struct{}, window)
 
 	// Snapshot stream: step-tagged same-tier copies of the pre-staged

@@ -20,7 +20,7 @@ import (
 //
 //	issuer    — walks the phase's subgroup order, classifies each subgroup
 //	            as cache hit or miss, pins it, and keeps up to
-//	            PrefetchDepth+UpdateWorkers fetches/items in flight.
+//	            prefetchDepth+UpdateWorkers fetches/items in flight.
 //	workers   — UpdateWorkers goroutines consume items, wait for their
 //	            fetches, and run the Adam update + FP16 re-encode, so the
 //	            update of subgroup k overlaps with tier reads for k+1..k+d.
@@ -124,7 +124,7 @@ func (e *Engine) updatePhase(it *metrics.Iteration) error {
 
 	// window bounds items in flight (and therefore pinned subgroups);
 	// workCh never blocks the issuer because its capacity matches.
-	inflight := e.cfg.PrefetchDepth + e.cfg.UpdateWorkers
+	inflight := e.prefetchDepth + e.cfg.UpdateWorkers
 	window := make(chan struct{}, inflight)
 	workCh := make(chan *updateItem, inflight)
 	orderCh := make(chan *updateItem, m)
@@ -218,8 +218,8 @@ func (e *Engine) recordAsyncOp(op *aio.Op) {
 // per-member zero-copy buffer views. A run breaks on a cache hit, a
 // tier change, or the batch cap. Members of an unflushed run
 // hold window slots but no fetch slots, and the cap never exceeds
-// PrefetchDepth, so batch assembly cannot exhaust the window the
-// committer needs to drain (inflight = PrefetchDepth + UpdateWorkers).
+// prefetchDepth, so batch assembly cannot exhaust the window the
+// committer needs to drain (inflight = prefetchDepth + UpdateWorkers).
 func (e *Engine) issueItems(run *phaseRun, order []int, window chan struct{}, workCh, orderCh chan *updateItem) {
 	defer close(workCh)
 	defer close(orderCh)
@@ -318,7 +318,7 @@ func (e *Engine) issueCoalesced(run *phaseRun, batch []*updateItem, tier int) {
 	dsts := make([][]byte, len(batch))
 	total := 0
 	for i, item := range batch {
-		e.fetchSem <- struct{}{} // the batch cap keeps this ≤ PrefetchDepth
+		e.fetchSem <- struct{}{} // the batch cap keeps this ≤ prefetchDepth
 		size := subgroup.StateBytes(e.shard.Subgroups[item.sgID].Len())
 		keys[i] = e.key(item.sgID)
 		bufs[i] = e.fetchPool.Get()
@@ -346,7 +346,7 @@ func (e *Engine) issueCoalesced(run *phaseRun, batch []*updateItem, tier int) {
 func (e *Engine) issueFetch(item *updateItem, tier int) error {
 	sgID := item.sgID
 	sg := e.shard.Subgroups[sgID]
-	e.fetchSem <- struct{}{} // PrefetchDepth bounds in-flight fetches
+	e.fetchSem <- struct{}{} // prefetchDepth bounds in-flight fetches
 	buf := e.fetchPool.Get()
 	size := subgroup.StateBytes(sg.Len())
 	// Issued as Prefetch: the issuer runs ahead of the workers, so at
@@ -607,22 +607,15 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 	var sw metrics.Stopwatch
 	sw.StartOn(e.clk)
 	applyClip(sg, run.clip, e.cfg.SkipGradFlush)
-	if e.kern != nil {
-		// Intra-subgroup parallelism: the update's element range is mined
-		// in fixed-size chunks by the shared kernel pool, so one subgroup's
-		// Adam step uses every kernel worker. Chunk boundaries are
-		// identical at any worker count (and on the serial path), so the
-		// parameters are bit-identical regardless of KernelWorkers.
-		if e.cfg.SkipGradFlush {
-			optim.StepFP16On(e.kern, sg.State, sg.Grads16, e.cfg.Hyper, e.step)
-		} else {
-			optim.StepFP32On(e.kern, sg.State, sg.Grads32, e.cfg.Hyper, e.step)
-			sg.Grads32 = nil // discarded after the update, as in ZeRO-3
-		}
-	} else if e.cfg.SkipGradFlush {
-		optim.StepFP16Parallel(sg.State, sg.Grads16, e.cfg.Hyper, e.step, e.cfg.CPUWorkers)
+	// Intra-subgroup parallelism: the update's element range is mined in
+	// fixed-size chunks by the shared kernel pool (serially when kern is
+	// nil), so one subgroup's Adam step uses every kernel worker. Chunk
+	// boundaries are identical at any worker count, so the parameters
+	// are bit-identical regardless of KernelWorkers.
+	if e.cfg.SkipGradFlush {
+		optim.StepFP16On(e.kern, sg.State, sg.Grads16, e.cfg.Hyper, e.step)
 	} else {
-		optim.StepFP32Parallel(sg.State, sg.Grads32, e.cfg.Hyper, e.step, e.cfg.CPUWorkers)
+		optim.StepFP32On(e.kern, sg.State, sg.Grads32, e.cfg.Hyper, e.step)
 		sg.Grads32 = nil // discarded after the update, as in ZeRO-3
 	}
 	if gradBacking != nil {
@@ -636,7 +629,6 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 	// H2D: the refreshed FP16 parameters return to the device.
 	off := e.sgOffset[item.sgID]
 	fp16.EncodeOn(e.kern, e.params16[off:off+int64(sg.Len())], sg.State.Params)
-	e.d2hTransfer(int64(sg.Len()) * 2)
 	return nil
 }
 

@@ -111,7 +111,6 @@ func TestUpdateWorkersTierErrorCancels(t *testing.T) {
 	}
 	cfg := BaselineConfig(0, 1200, 60, []TierSpec{{Tier: tier, ReadBW: 100, WriteBW: 100}})
 	cfg.UpdateWorkers = 4
-	cfg.PrefetchDepth = 4
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 	"github.com/datastates/mlpoffload/internal/storage"
 	"github.com/datastates/mlpoffload/internal/subgroup"
 	"github.com/datastates/mlpoffload/internal/tiercodec"
-	"github.com/datastates/mlpoffload/internal/wire"
 )
 
 // TestNewRestoredAdoptsDeadRankShard: the elastic re-shard path — a
@@ -71,8 +70,9 @@ func TestNewRestoredAdoptsDeadRankShard(t *testing.T) {
 }
 
 // TestCorruptRetryBackoffExactVirtual: corrupt re-reads are paced by the
-// shared wire.Backoff policy on the engine clock — on a virtual clock
-// the elapsed time of an exhausted retry budget is exact.
+// engine's wire.Backoff policy (1 ms doubling to 20 ms) on the engine
+// clock — on a virtual clock the elapsed time of an exhausted retry
+// budget is exact.
 func TestCorruptRetryBackoffExactVirtual(t *testing.T) {
 	clk := clock.NewVirtualAuto()
 	fault := tiercodec.NewFaultTier(storage.NewMemTier("nvme"), tiercodec.FaultConfig{
@@ -82,8 +82,7 @@ func TestCorruptRetryBackoffExactVirtual(t *testing.T) {
 	cfg := MLPConfig(0, 400, 100, tiers, nil)
 	cfg.AdaptivePlacement = false
 	cfg.Clock = clk
-	cfg.CorruptRetries = 3
-	cfg.RetryBackoff = wire.Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2}
+	cfg.CorruptRetries = 6
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,11 +108,12 @@ func TestCorruptRetryBackoffExactVirtual(t *testing.T) {
 	if !errors.Is(err, tiercodec.ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt after exhausted retries", err)
 	}
-	// Three paced re-reads: 10 + 20 + 40 ms, exact on the virtual clock.
-	if got, want := clk.Since(start), 70*time.Millisecond; got != want {
+	// Six paced re-reads: 1 + 2 + 4 + 8 + 16 + 20 (capped) ms, exact on
+	// the virtual clock.
+	if got, want := clk.Since(start), 51*time.Millisecond; got != want {
 		t.Fatalf("retry pacing = %v, want exactly %v", got, want)
 	}
-	if got := e.IntegrityRetries(); got != 3 {
-		t.Fatalf("IntegrityRetries = %d, want 3", got)
+	if got := e.IntegrityRetries(); got != 6 {
+		t.Fatalf("IntegrityRetries = %d, want 6", got)
 	}
 }

@@ -222,7 +222,7 @@ func (e *Engine) readEntry(ctx context.Context, r *checkpoint.Reader, ent checkp
 		err := r.ReadObject(ctx, ent.Key, dst)
 		for n := 0; err != nil && errors.Is(err, tiercodec.ErrCorrupt) && n < e.cfg.CorruptRetries; n++ {
 			e.corruptRetries.Add(1)
-			e.clk.Sleep(e.cfg.RetryBackoff.Delay(n))
+			e.clk.Sleep(retryBackoff.Delay(n))
 			err = r.ReadObject(ctx, ent.Key, dst)
 		}
 		return err

@@ -13,11 +13,7 @@
 // convert-and-accumulate used by gradient accumulation.
 package fp16
 
-import (
-	"math"
-	"runtime"
-	"sync"
-)
+import "math"
 
 // Bits is a raw IEEE-754 binary16 value. The zero value is +0.0.
 type Bits uint16
@@ -286,34 +282,6 @@ func DecodeAccumulate(dst []float32, src []Bits) int {
 	return n
 }
 
-// parallelChunks invokes fn over [0,n) split into roughly equal chunks, one
-// per worker, and waits for completion. With workers <= 1 or small n it runs
-// inline to avoid goroutine overhead.
-func parallelChunks(n, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	const minChunk = 4096
-	if workers == 1 || n <= minChunk {
-		fn(0, n)
-		return
-	}
-	if workers > (n+minChunk-1)/minChunk {
-		workers = (n + minChunk - 1) / minChunk
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // Runner abstracts a shared kernel worker pool (internal/kernpool's
 // Pool implements it; see optim.Runner): Run executes fn over [0, n) in
 // deterministic chunks. The ...On bulk-codec variants draw parallelism
@@ -346,31 +314,4 @@ func DecodeOn(r Runner, dst []float32, src []Bits) int {
 	n := min(len(dst), len(src))
 	runOn(r, n, func(lo, hi int) { decodeRange(dst, src, lo, hi) })
 	return n
-}
-
-// EncodeParallel is Encode split across workers goroutines (0 means
-// GOMAXPROCS). It is deterministic: chunking does not affect results.
-func EncodeParallel(dst []Bits, src []float32, workers int) int {
-	n := min(len(dst), len(src))
-	parallelChunks(n, workers, func(lo, hi int) {
-		encodeRange(dst, src, lo, hi)
-	})
-	return n
-}
-
-// DecodeParallel is Decode split across workers goroutines (0 means
-// GOMAXPROCS).
-func DecodeParallel(dst []float32, src []Bits, workers int) int {
-	n := min(len(dst), len(src))
-	parallelChunks(n, workers, func(lo, hi int) {
-		decodeRange(dst, src, lo, hi)
-	})
-	return n
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

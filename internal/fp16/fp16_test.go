@@ -3,8 +3,11 @@ package fp16
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+
+	"github.com/datastates/mlpoffload/internal/kernpool"
 )
 
 func TestKnownValues(t *testing.T) {
@@ -262,20 +265,22 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	serial := make([]Bits, len(src))
 	par := make([]Bits, len(src))
+	pool := kernpool.New(4)
+	defer pool.Close()
 	Encode(serial, src)
-	EncodeParallel(par, src, 4)
+	EncodeOn(pool, par, src)
 	for i := range serial {
 		if serial[i] != par[i] {
-			t.Fatalf("EncodeParallel diverges at %d", i)
+			t.Fatalf("EncodeOn diverges at %d", i)
 		}
 	}
 	ds := make([]float32, len(src))
 	dp := make([]float32, len(src))
 	Decode(ds, serial)
-	DecodeParallel(dp, serial, 4)
+	DecodeOn(pool, dp, serial)
 	for i := range ds {
 		if ds[i] != dp[i] {
-			t.Fatalf("DecodeParallel diverges at %d", i)
+			t.Fatalf("DecodeOn diverges at %d", i)
 		}
 	}
 }
@@ -332,15 +337,17 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeParallel(b *testing.B) {
+func BenchmarkDecodeOn(b *testing.B) {
 	src := make([]Bits, 1<<20)
 	for i := range src {
 		src[i] = Bits(i & 0x7BFF)
 	}
 	dst := make([]float32, len(src))
+	pool := kernpool.New(runtime.GOMAXPROCS(0))
+	defer pool.Close()
 	b.SetBytes(int64(len(src) * 2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DecodeParallel(dst, src, 0)
+		DecodeOn(pool, dst, src)
 	}
 }

@@ -196,39 +196,24 @@ type BufferPool struct {
 	bufSize int
 	ch      chan []byte
 	mu      sync.Mutex
-	spare   int // buffers the lazy pool may still create on demand
+	spare   int // buffers the pool may still create on demand
 }
 
-// NewBufferPool creates a pool of n buffers of bufSize bytes each,
-// allocated eagerly (the DeepNVMe-style pre-pinned staging set).
+// NewBufferPool creates a pool with a blocking quota of n buffers of
+// bufSize bytes each, allocating each buffer on first demand. The quota
+// may cover a worst case (a host cache large enough to hold the whole
+// shard, gradient staging a mode never uses) that a given run never
+// reaches — the pool only ever materializes the buffers actually cycled
+// through it.
 func NewBufferPool(n, bufSize int) *BufferPool {
-	p := newPool(n, bufSize)
-	for i := 0; i < n; i++ {
-		p.ch <- make([]byte, bufSize)
-	}
-	return p
-}
-
-// NewBufferPoolLazy creates a pool with the same blocking quota of n
-// buffers, but allocates each buffer on first demand. Use it when the
-// quota covers a worst case (e.g. a host cache large enough to hold the
-// whole shard) that a given run may never reach — the pool then only
-// ever materializes the buffers actually cycled through it.
-func NewBufferPoolLazy(n, bufSize int) *BufferPool {
-	p := newPool(n, bufSize)
-	p.spare = n
-	return p
-}
-
-func newPool(n, bufSize int) *BufferPool {
 	if n <= 0 || bufSize <= 0 {
 		panic("hostcache: pool dimensions must be positive")
 	}
-	return &BufferPool{bufSize: bufSize, ch: make(chan []byte, n)}
+	return &BufferPool{bufSize: bufSize, ch: make(chan []byte, n), spare: n}
 }
 
-// Get blocks until a buffer is available (creating one when the lazy
-// allowance permits).
+// Get blocks until a buffer is available (creating one while the quota
+// is not yet materialized).
 func (p *BufferPool) Get() []byte {
 	if b := p.TryGet(); b != nil {
 		return b
@@ -246,7 +231,7 @@ func (p *BufferPool) TryGet() []byte {
 	}
 }
 
-// takeSpare consumes one unit of the lazy allowance, returning a fresh
+// takeSpare consumes one unit of the unmaterialized quota, returning a fresh
 // buffer, or nil when the pool is fully materialized.
 func (p *BufferPool) takeSpare() []byte {
 	p.mu.Lock()
@@ -264,15 +249,18 @@ func (p *BufferPool) Put(b []byte) {
 	if len(b) != p.bufSize {
 		panic("hostcache: returning wrong-size buffer to pool")
 	}
-	select {
-	case p.ch <- b:
-	default:
+	// Counting the unmaterialized quota as available, a Put that would
+	// take the pool past n is a double Put even before every buffer exists.
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.ch)+p.spare == cap(p.ch) {
 		panic("hostcache: pool overflow — double Put?")
 	}
+	p.ch <- b
 }
 
 // Free returns the number of currently available buffers (counting the
-// lazy pool's not-yet-created allowance).
+// not-yet-created ones).
 func (p *BufferPool) Free() int {
 	p.mu.Lock()
 	s := p.spare

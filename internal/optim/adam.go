@@ -143,25 +143,6 @@ func StepFP16(s *State, grads []fp16.Bits, h Hyper, t int) {
 	stepRange(s, h, c1, c2, 0, s.Len(), func(i int) float32 { return fp16.ToFloat32(grads[i]) })
 }
 
-// StepFP32Parallel is StepFP32 split across workers goroutines (0 means 1;
-// chunking does not change results because elements are independent).
-func StepFP32Parallel(s *State, grads []float32, h Hyper, t, workers int) {
-	s.checkLens(len(grads))
-	c1, c2 := biasCorrections(h, t)
-	parallelChunks(s.Len(), workers, func(lo, hi int) {
-		stepRange(s, h, c1, c2, lo, hi, func(i int) float32 { return grads[i] })
-	})
-}
-
-// StepFP16Parallel is StepFP16 split across workers goroutines.
-func StepFP16Parallel(s *State, grads []fp16.Bits, h Hyper, t, workers int) {
-	s.checkLens(len(grads))
-	c1, c2 := biasCorrections(h, t)
-	parallelChunks(s.Len(), workers, func(lo, hi int) {
-		stepRange(s, h, c1, c2, lo, hi, func(i int) float32 { return fp16.ToFloat32(grads[i]) })
-	})
-}
-
 // Runner abstracts a shared kernel worker pool (internal/kernpool's
 // Pool implements it): Run executes fn over [0, n) split into
 // deterministic chunks whose boundaries do not depend on the worker
@@ -204,30 +185,6 @@ func run(r Runner, n int, fn func(lo, hi int)) {
 		return
 	}
 	r.Run(n, fn)
-}
-
-func parallelChunks(n, workers int, fn func(lo, hi int)) {
-	if workers <= 1 || n < 8192 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	done := make(chan struct{}, workers)
-	launched := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		launched++
-		go func(lo, hi int) {
-			fn(lo, hi)
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for i := 0; i < launched; i++ {
-		<-done
-	}
 }
 
 // GradNorm returns the L2 norm of an FP32 gradient buffer, used for the

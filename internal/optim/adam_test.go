@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/datastates/mlpoffload/internal/fp16"
+	"github.com/datastates/mlpoffload/internal/kernpool"
 )
 
 // refAdam is an independent scalar float64 reference implementation.
@@ -95,10 +96,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 		params[i] = rng.Float32()
 		grads[i] = rng.Float32() * 0.01
 	}
+	pool := kernpool.New(4)
+	defer pool.Close()
 	a := NewState(params)
 	b := NewState(params)
 	StepFP32(a, grads, h, 1)
-	StepFP32Parallel(b, grads, h, 1, 4)
+	StepFP32On(pool, b, grads, h, 1)
 	for i := 0; i < n; i++ {
 		if a.Params[i] != b.Params[i] {
 			t.Fatalf("parallel diverges at %d", i)
@@ -109,7 +112,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	c := NewState(params)
 	d := NewState(params)
 	StepFP16(c, g16, h, 1)
-	StepFP16Parallel(d, g16, h, 1, 4)
+	StepFP16On(pool, d, g16, h, 1)
 	for i := 0; i < n; i++ {
 		if c.Params[i] != d.Params[i] {
 			t.Fatalf("fp16 parallel diverges at %d", i)

@@ -39,7 +39,7 @@ var ErrTierDown = errors.New("storage: tier down")
 // Tier is an object store with whole-object semantics.
 //
 // Concurrency contract: implementations must be safe for concurrent use by
-// multiple goroutines. The aio engine calls Read and Write from IOWorkers
+// multiple goroutines. The aio engine calls Read and Write from its Workers
 // goroutines per tier, the engine's update pipeline adds UpdateWorkers
 // concurrent callers on top, and several engine instances may share one
 // Tier on a node (TestFourWorkersSharedNode). Concurrent operations on

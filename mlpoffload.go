@@ -10,29 +10,30 @@
 //     real Adam updates on real FP32 state with real FP16 gradient
 //     conversion. Use it with in-memory, file-backed or
 //     bandwidth-throttled tiers. The update phase itself is a three-stage
-//     pipeline — an issuer keeping EngineConfig.PrefetchDepth fetches in
+//     pipeline — an issuer keeping max(2, UpdateWorkers+tiers) fetches in
 //     flight, a pool of EngineConfig.UpdateWorkers goroutines running the
 //     Adam updates, and an in-order committer driving the host cache and
 //     lazy eviction flushes — so the CPU-side update of one subgroup
 //     overlaps with tier reads and writes for its neighbours.
-//     UpdateWorkers=1 (the default) reproduces the paper's sequential
-//     update phase bit-for-bit; any worker count yields identical
-//     parameters. Tier traffic is priority-scheduled: every I/O op
+//     UpdateWorkers=1 (BaselineConfig's setting; MLPConfig auto-tunes it
+//     from GOMAXPROCS) is the paper's sequential update phase; any worker
+//     count yields bit-identical parameters. Tier traffic is priority-scheduled: every I/O op
 //     carries a class (demand fetch > grad read > prefetch > flush >
 //     checkpoint > migration) in a per-tier multi-level queue with
 //     starvation-proof aging, so a background checkpoint or migration
 //     stream can never head-of-line-block the update critical path. With
 //     AdaptivePlacement, the per-iteration replan is an enforced
-//     contract: a live migrator moves displaced subgroups to their newly
-//     planned tiers in the background (EngineConfig.MigrationWindow).
+//     contract: two background migrators move displaced subgroups to
+//     their newly planned tiers.
 //     Checkpoints are restorable end to end: pre-staged persistent-tier
 //     state is snapshotted under step-tagged keys, a manifest commits the
 //     checkpoint, and Engine.Restore (or the coordinated
 //     TrainNode.Resume) continues training bit-identically after a
 //     crash, including checkpoints taken mid-migration. Tiers can carry
 //     transparent codec middleware (TierSpec.Codec / NewCodecTier):
-//     objects cross the device compressed (byte-plane transpose +
-//     DEFLATE, incompressible bypass) and CRC32-C-checked, multiplying
+//     objects cross the device compressed (split into byte planes, the
+//     sign/exponent plane Huffman-coded, incompressible bypass) and
+//     CRC32-C-checked, multiplying
 //     effective tier bandwidth on every fetch/flush/checkpoint/migration
 //     path while corrupted objects surface as typed ErrCorruptObject
 //     failures (retried when transient) instead of being consumed.
@@ -219,9 +220,10 @@ func RunElasticMember(ctx context.Context, cfg ElasticMemberConfig) (*ElasticMem
 	return train.RunMember(ctx, cfg)
 }
 
-// RetryBackoff is the shared clock-driven retry policy (jittered
-// capped exponential) used by the wire transport, engine corrupt-read
-// retries, and member dialing. Its zero value is usable.
+// RetryBackoff is the clock-driven retry policy (jittered capped
+// exponential) of the wire transport, here for
+// ElasticMemberConfig.DialBackoff. Its zero value is usable. The engine
+// paces its corrupt re-reads with a fixed policy of its own.
 type RetryBackoff = wire.Backoff
 
 // RecoverySpec models elastic failure/recovery economics — expected
