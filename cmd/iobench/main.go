@@ -16,13 +16,12 @@
 // the effective-bandwidth multiplier compression buys on a throttled
 // device.
 //
-// It also measures the below-the-allocator I/O fast path: -seq runs a
-// syscall-bound sequential-fetch scenario against a real directory —
-// many small subgroup-sized objects read back in order, the update
-// phase's storage access pattern — once with a cold open per object
-// (the pre-fd-cache behaviour), once through the bounded fd handle
-// cache, and once with runs of adjacent objects coalesced into single
-// vectored aio ops, reporting per-mode throughput and op latency.
+// It also measures fetch coalescing: -seq runs a syscall-bound
+// sequential-fetch scenario against a real directory — many small
+// subgroup-sized objects read back in order, the update phase's storage
+// access pattern — once with one aio op per object and once with runs
+// of adjacent objects coalesced into single vectored aio ops, reporting
+// per-mode throughput and op latency.
 //
 // Usage:
 //
@@ -34,7 +33,6 @@
 //	iobench -codec                # codec effective-bandwidth scenario
 //	iobench -codec -json          # ... as JSON (for BENCH_*.json tracking)
 //	iobench -seq                  # sequential-fetch fast-path scenario (temp dir)
-//	iobench -seq -direct          # ... with O_DIRECT reads where supported
 //	iobench -seq -json            # ... as JSON (for BENCH_*.json tracking)
 //
 // The -json document schemas are documented in README.md ("iobench JSON
@@ -82,12 +80,11 @@ func main() {
 		codecSize = flag.Int("codecsize", 4<<20, "object size in the codec scenario")
 		codecOps  = flag.Int("codecops", 8, "objects per direction in the codec scenario")
 		codecBW   = flag.Float64("codecbw", 48e6, "emulated tier bandwidth for the codec scenario (B/s)")
-		seq       = flag.Bool("seq", false, "run the sequential-fetch fast-path scenario (fd cache + coalesced vectored reads)")
+		seq       = flag.Bool("seq", false, "run the sequential-fetch scenario (per-object vs coalesced vectored reads)")
 		seqSize   = flag.Int("seqsize", 16<<10, "object size in the -seq scenario")
 		seqObjs   = flag.Int("seqobjs", 64, "objects in the -seq scenario")
 		seqPasses = flag.Int("seqpasses", 8, "read passes over the object set in the -seq scenario")
 		seqBatch  = flag.Int("seqbatch", 4, "coalesced run length in the -seq scenario")
-		direct    = flag.Bool("direct", false, "use O_DIRECT file I/O in the -seq scenario where the platform supports it")
 	)
 	flag.Parse()
 
@@ -107,7 +104,7 @@ func main() {
 		return
 	}
 	if *seq {
-		runSeq(*dir, *seqSize, *seqObjs, *seqPasses, *seqBatch, *direct, *jsonOut)
+		runSeq(*dir, *seqSize, *seqObjs, *seqPasses, *seqBatch, *jsonOut)
 		return
 	}
 
@@ -567,7 +564,7 @@ func runCodec(spec string, size, ops int, bw float64, jsonOut bool) {
 
 // seqResult is one mode's measurements in the sequential-fetch scenario.
 type seqResult struct {
-	Mode     string  `json:"mode"` // "per-object", "fdcache" or "coalesced"
+	Mode     string  `json:"mode"` // "per-object" or "coalesced"
 	ReadMBps float64 `json:"read_mbps"`
 	Ops      int     `json:"ops"`       // aio ops submitted (coalescing shrinks this)
 	AvgOpUS  float64 `json:"avg_op_us"` // mean submit-to-complete latency per op
@@ -578,26 +575,23 @@ type seqResult struct {
 type seqReport struct {
 	Benchmark string `json:"benchmark"`
 	Config    struct {
-		ObjectBytes int  `json:"object_bytes"`
-		Objects     int  `json:"objects"`
-		Passes      int  `json:"passes"`
-		Batch       int  `json:"batch"`
-		Direct      bool `json:"direct"`
+		ObjectBytes int `json:"object_bytes"`
+		Objects     int `json:"objects"`
+		Passes      int `json:"passes"`
+		Batch       int `json:"batch"`
 	} `json:"config"`
 	Results         []seqResult `json:"results"`
-	FDCacheSpeedup  float64     `json:"fdcache_speedup"`
 	CoalesceSpeedup float64     `json:"coalesce_speedup"`
 }
 
 // runSeq measures the syscall-bound sequential-fetch pattern — the update
 // phase reading many small subgroup objects back in commit order — in
-// three modes over a real directory: a cold open per object (fd cache
-// disabled, the pre-fast-path behaviour), reads through the bounded fd
-// handle cache, and runs of `batch` adjacent objects coalesced into
-// single vectored aio ops. Objects are small enough that per-op overhead
-// (open/close, queue transitions, scheduling decisions) is a real
-// fraction of each read, which is exactly what the fast path removes.
-func runSeq(dir string, size, objs, passes, batch int, direct, jsonOut bool) {
+// two modes over a real directory: one aio op per object, and runs of
+// `batch` adjacent objects coalesced into single vectored aio ops.
+// Objects are small enough that per-op overhead (queue transitions,
+// scheduling decisions) is a real fraction of each read, which is
+// exactly what coalescing removes.
+func runSeq(dir string, size, objs, passes, batch int, jsonOut bool) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "iobench-seq-*")
 		if err != nil {
@@ -611,27 +605,19 @@ func runSeq(dir string, size, objs, passes, batch int, direct, jsonOut bool) {
 		batch = 2
 	}
 	results := []seqResult{
-		seqMode(dir, "per-object", size, objs, passes, 1, false, direct),
-		seqMode(dir, "fdcache", size, objs, passes, 1, true, direct),
-		seqMode(dir, "coalesced", size, objs, passes, batch, true, direct),
+		seqMode(dir, "per-object", size, objs, passes, 1),
+		seqMode(dir, "coalesced", size, objs, passes, batch),
 	}
 	if jsonOut {
 		var rep seqReport
-		// Distinct report name per I/O mode: benchmerge keys reports by
-		// name, and one merge can carry the buffered and direct runs.
 		rep.Benchmark = "iobench-seq-fetch"
-		if direct {
-			rep.Benchmark = "iobench-seq-fetch-direct"
-		}
 		rep.Config.ObjectBytes = size
 		rep.Config.Objects = objs
 		rep.Config.Passes = passes
 		rep.Config.Batch = batch
-		rep.Config.Direct = direct
 		rep.Results = results
 		if results[0].ReadMBps > 0 {
-			rep.FDCacheSpeedup = results[1].ReadMBps / results[0].ReadMBps
-			rep.CoalesceSpeedup = results[2].ReadMBps / results[0].ReadMBps
+			rep.CoalesceSpeedup = results[1].ReadMBps / results[0].ReadMBps
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -641,45 +627,32 @@ func runSeq(dir string, size, objs, passes, batch int, direct, jsonOut bool) {
 		}
 		return
 	}
-	fmt.Printf("seq-fetch: %d passes over %d objects of %s (direct=%v)\n",
-		passes, objs, fmtBytes(size), direct)
+	fmt.Printf("seq-fetch: %d passes over %d objects of %s\n",
+		passes, objs, fmtBytes(size))
 	fmt.Printf("%-12s %-14s %-10s %-14s\n", "mode", "read (MB/s)", "aio ops", "avg op (us)")
 	for _, r := range results {
 		fmt.Printf("%-12s %-14.1f %-10d %-14.1f\n", r.Mode, r.ReadMBps, r.Ops, r.AvgOpUS)
 	}
 	if results[0].ReadMBps > 0 {
-		fmt.Printf("note: %.2fx with the fd cache, %.2fx with coalescing on top\n",
-			results[1].ReadMBps/results[0].ReadMBps,
-			results[2].ReadMBps/results[0].ReadMBps)
+		fmt.Printf("note: %.2fx with coalescing\n", results[1].ReadMBps/results[0].ReadMBps)
 	}
 }
 
 // seqMode runs one sequential-fetch mode: its own subdirectory, its own
-// FileTier (fd cache on or off, O_DIRECT per the flag) and its own aio
-// engine, reading the object set back `passes` times in key order —
-// per object for batch 1, in vectored runs of `batch` otherwise.
-func seqMode(dir, mode string, size, objs, passes, batch int, fdcache, direct bool) seqResult {
+// FileTier and its own aio engine, reading the object set back `passes`
+// times in key order — per object for batch 1, in vectored runs of
+// `batch` otherwise.
+func seqMode(dir, mode string, size, objs, passes, batch int) seqResult {
 	sub := filepath.Join(dir, mode)
 	if err := os.MkdirAll(sub, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
 		os.Exit(1)
 	}
-	opts := []storage.FileTierOption{storage.WithDirectIO(direct)}
-	if fdcache {
-		// Size the descriptor cache to the working set. A sequential scan
-		// over more objects than the cache holds is the LRU worst case —
-		// every access misses and pays an eviction on top of the open —
-		// and a deployment that re-reads a hot set sizes the cache to fit.
-		opts = append(opts, storage.WithFDCache(objs))
-	} else {
-		opts = append(opts, storage.WithFDCache(0))
-	}
-	tier, err := storage.NewFileTier(mode, sub, opts...)
+	tier, err := storage.NewFileTier(mode, sub)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "iobench: %v\n", err)
 		os.Exit(1)
 	}
-	defer tier.Close()
 	eng := aio.New(tier, aio.Config{Workers: 2, QueueDepth: 2 * batch})
 	defer eng.Close()
 
@@ -693,11 +666,9 @@ func seqMode(dir, mode string, size, objs, passes, batch int, fdcache, direct bo
 	}
 	eng.Drain()
 
-	// Aligned destination buffers keep the O_DIRECT mode on its in-place
-	// path instead of the bounce-buffer fallback.
 	dsts := make([][]byte, batch)
 	for i := range dsts {
-		dsts[i] = bufpool.GetAligned(size)
+		dsts[i] = bufpool.Get(size)
 	}
 	keys := make([]string, batch)
 	onePass := func() int {
@@ -729,7 +700,7 @@ func seqMode(dir, mode string, size, objs, passes, batch int, fdcache, direct bo
 		return ops
 	}
 	// One untimed pass settles writeback from this mode's own population
-	// phase, warms the page/fd caches, and faults in the pooled buffers;
+	// phase, warms the page cache, and faults in the pooled buffers;
 	// then each timed pass is measured on its own and the fastest one is
 	// reported — per-op overhead is the quantity under test, and the
 	// minimum discards GC pauses and writeback interference that would

@@ -60,7 +60,7 @@ func TestMixedVirtualSLO(t *testing.T) {
 	}
 }
 
-// TestSeqScenarioSmoke runs the sequential-fetch fast-path scenario small
+// TestSeqScenarioSmoke runs the sequential-fetch scenario small
 // against a temp directory: every mode must complete, move the full byte
 // volume, and the coalesced mode must batch its ops (objs/batch vectored
 // submissions instead of one per object).
@@ -72,8 +72,8 @@ func TestSeqScenarioSmoke(t *testing.T) {
 		batch  = 4
 	)
 	dir := t.TempDir()
-	per := seqMode(dir, "per-object", size, objs, passes, 1, false, false)
-	co := seqMode(dir, "coalesced", size, objs, passes, batch, true, false)
+	per := seqMode(dir, "per-object", size, objs, passes, 1)
+	co := seqMode(dir, "coalesced", size, objs, passes, batch)
 	if per.ReadMBps <= 0 || co.ReadMBps <= 0 {
 		t.Fatalf("degenerate throughputs: per-object %.1f, coalesced %.1f", per.ReadMBps, co.ReadMBps)
 	}

@@ -45,7 +45,6 @@ func main() {
 		workers   = flag.Int("update-workers", 0, "update-phase pipeline parallelism (0 = auto from GOMAXPROCS, 1 = paper's sequential update)")
 		kernels   = flag.Int("kernel-workers", 0, "shared kernel worker pool for Adam/codec kernels (0 = auto, 1 = serial; bit-identical at any width)")
 		coalesce  = flag.Int("coalesce", 0, "adjacent same-tier fetches batched into one vectored read (0 = auto, 1 = off)")
-		direct    = flag.Bool("direct", false, "O_DIRECT file I/O on file-backed tiers where supported (requires -dir)")
 		ckptEvery = flag.Int("checkpoint-every", 0, "write a restorable checkpoint every N iterations (0 = off)")
 		ckptKeep  = flag.Int("keep-checkpoints", 2, "retain only the newest N checkpoints (0 = keep all)")
 		resume    = flag.Bool("resume", false, "restore the latest checkpoint before training (requires -dir)")
@@ -90,17 +89,13 @@ func main() {
 	// Table-1 devices).
 	mkRawTier := func(name string) mlpoffload.Tier {
 		if *dir != "" {
-			t, err := mlpoffload.NewFileTier(name, filepath.Join(*dir, name),
-				mlpoffload.WithDirectIO(*direct))
+			t, err := mlpoffload.NewFileTier(name, filepath.Join(*dir, name))
 			if err != nil {
 				fail("%v", err)
 			}
 			return t
 		}
 		return mlpoffload.NewMemTier(name)
-	}
-	if *direct && *dir == "" {
-		fail("-direct needs file-backed tiers: pass -dir")
 	}
 	mkTier := func(name string) mlpoffload.Tier {
 		t := mkRawTier(name)

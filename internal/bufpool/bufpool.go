@@ -28,8 +28,6 @@ package bufpool
 import (
 	"math/bits"
 	"sync"
-
-	"github.com/datastates/mlpoffload/internal/f32view"
 )
 
 // minClassBits is the smallest pooled size class (1<<minClassBits
@@ -73,26 +71,6 @@ func Get(n int) []byte {
 		return (*p)[:n]
 	}
 	return make([]byte, n, 1<<(c+minClassBits))
-}
-
-// DirectAlign is the alignment GetAligned guarantees: the O_DIRECT
-// contract (buffer address and I/O size multiples of the logical block
-// size; 4 KiB covers every deployed NVMe/PFS block size).
-const DirectAlign = 4096
-
-// GetAligned returns a length-n slice whose base address is
-// DirectAlign-byte aligned — the staging/bounce buffers of the
-// storage layer's O_DIRECT path. It over-allocates one alignment unit
-// and slices forward to the boundary, so the buffer still recycles
-// through Put (filed under the class its — possibly reduced — capacity
-// fills; the slack means an aligned buffer may recycle one class below
-// its allocation, which only costs pool efficiency, never correctness).
-func GetAligned(n int) []byte {
-	b := Get(n + DirectAlign)
-	if off := f32view.AlignOffset(b, DirectAlign); off != 0 {
-		b = b[off:]
-	}
-	return b[:n]
 }
 
 // Put recycles b's backing array into the class its capacity fills.

@@ -118,9 +118,9 @@ type Config struct {
 	// CoalesceFetches bounds the issuer's read-ahead coalescing: runs of
 	// up to this many adjacent same-tier subgroup fetches are submitted as
 	// one vectored tier operation (aio.SubmitReadVecClass) instead of one
-	// op each — one scheduling decision, cached descriptors, one device
-	// pass for the run. Only active in SkipGradFlush mode (the baseline's
-	// interleaved gradient reads break up runs anyway). 0 auto-tunes to
+	// op each — one scheduling decision and one device pass for the run.
+	// Only active in SkipGradFlush mode (the baseline's interleaved
+	// gradient reads break up runs anyway). 0 auto-tunes to
 	// min(4, prefetch depth); 1 disables coalescing; values above the
 	// prefetch depth are clamped to it.
 	CoalesceFetches int

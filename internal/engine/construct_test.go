@@ -294,7 +294,6 @@ func TestInitialOffloadFailureIsClean(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(func() { ft.Close() })
 				fault := &storage.FaultTier{Tier: ft, Err: boom, FailWrites: true, FailEvery: k}
 				cfg := BaselineConfig(0, subgroups*1000, 1000, []TierSpec{{Tier: fault, ReadBW: 1e9, WriteBW: 1e9}})
 				cfg.InitParams = sinInit

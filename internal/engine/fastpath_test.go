@@ -10,9 +10,9 @@ import (
 	"github.com/datastates/mlpoffload/internal/tierlock"
 )
 
-// fileTiers returns n directory-backed tiers under t.TempDir, closed on
-// test cleanup — the coalescing and vectored-read paths exercised over a
-// real filesystem rather than the in-memory tier.
+// fileTiers returns n directory-backed tiers under t.TempDir — the
+// coalescing and vectored-read paths exercised over a real filesystem
+// rather than the in-memory tier.
 func fileTiers(t *testing.T, bws ...float64) []TierSpec {
 	t.Helper()
 	out := make([]TierSpec, len(bws))
@@ -21,7 +21,6 @@ func fileTiers(t *testing.T, bws ...float64) []TierSpec {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { ft.Close() })
 		out[i] = TierSpec{Tier: ft, ReadBW: bw, WriteBW: bw}
 	}
 	return out

@@ -50,7 +50,6 @@ func TestNewRestoredFromLegacyFlateCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { ft.Close() })
 		return ft
 	}
 	mkCfg := func(nvme, pfs storage.Tier, codec tiercodec.Spec) Config {

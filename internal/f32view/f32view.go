@@ -52,25 +52,6 @@ func Aligned(b []byte) bool {
 	return uintptr(unsafe.Pointer(&b[0]))&3 == 0
 }
 
-// AlignOffset returns how many bytes past b's base address the next
-// align-byte boundary lies (0 when the base is already aligned). align
-// must be a power of two. Empty slices report 0. It exists so address
-// arithmetic stays confined to this package: bufpool's aligned size
-// class and the O_DIRECT storage path consume the offset without
-// touching unsafe themselves.
-func AlignOffset(b []byte, align int) int {
-	if len(b) == 0 {
-		return 0
-	}
-	mask := uintptr(align) - 1
-	addr := uintptr(unsafe.Pointer(&b[0]))
-	return int((uintptr(align) - (addr & mask)) & mask)
-}
-
-// AlignedTo reports whether b's backing array starts on an align-byte
-// boundary (align a power of two). Empty slices are trivially aligned.
-func AlignedTo(b []byte, align int) bool { return AlignOffset(b, align) == 0 }
-
 // Viewable reports whether View can reinterpret b in place: native
 // little-endian byte order, a length that is a whole number of float32s,
 // and a 4-byte-aligned base address.

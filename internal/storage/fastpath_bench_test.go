@@ -4,73 +4,36 @@ import (
 	"context"
 	"fmt"
 	"testing"
-
-	"github.com/datastates/mlpoffload/internal/bufpool"
 )
 
-// benchFileTier builds a populated FileTier for the read benchmarks.
-func benchFileTier(b *testing.B, objs, size int, opts ...FileTierOption) (*FileTier, []string, [][]byte) {
-	b.Helper()
-	ft, err := NewFileTier("bench", b.TempDir(), opts...)
+// BenchmarkFileReadVec reads a set of small objects through ReadVec —
+// the issuer's coalesced fetch path, minus the aio queueing that sits
+// above it.
+func BenchmarkFileReadVec(b *testing.B) {
+	const objs, size = 8, 256 << 10
+	ft, err := NewFileTier("bench", b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { ft.Close() })
 	payload := make([]byte, size)
 	for i := range payload {
 		payload[i] = byte(i)
 	}
+	ctx := context.Background()
 	keys := make([]string, objs)
 	dsts := make([][]byte, objs)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("sg-%03d", i)
-		if err := ft.Write(context.Background(), keys[i], payload); err != nil {
+		if err := ft.Write(ctx, keys[i], payload); err != nil {
 			b.Fatal(err)
 		}
-		dst := bufpool.GetAligned(size)
-		b.Cleanup(func() { bufpool.Put(dst) })
-		dsts[i] = dst
+		dsts[i] = make([]byte, size)
 	}
-	return ft, keys, dsts
-}
-
-// BenchmarkFileReadPerObject is the pre-fast-path baseline: one Read call
-// per object, fd cache disabled — a cold open/read/close per object.
-func BenchmarkFileReadPerObject(b *testing.B) {
-	const objs, size = 8, 256 << 10
-	ft, keys, dsts := benchFileTier(b, objs, size, WithFDCache(0))
-	ctx := context.Background()
 	b.SetBytes(int64(objs) * size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range keys {
-			if err := ft.Read(ctx, keys[j], dsts[j]); err != nil {
-				b.Fatal(err)
-			}
+		if err := ft.ReadVec(ctx, keys, dsts); err != nil {
+			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFileReadVec reads the same object set through ReadVec with the
-// fd handle cache on — the issuer's coalesced fetch path, minus the aio
-// queueing that sits above it.
-func BenchmarkFileReadVec(b *testing.B) {
-	const objs, size = 8, 256 << 10
-	for _, direct := range []bool{false, true} {
-		name := "buffered"
-		if direct {
-			name = "direct"
-		}
-		b.Run(name, func(b *testing.B) {
-			ft, keys, dsts := benchFileTier(b, objs, size, WithDirectIO(direct))
-			ctx := context.Background()
-			b.SetBytes(int64(objs) * size)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ft.ReadVec(ctx, keys, dsts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

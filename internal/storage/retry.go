@@ -3,7 +3,6 @@ package storage
 import (
 	"errors"
 	"io"
-	"syscall"
 )
 
 // eintrRetryLimit bounds consecutive zero-progress retries in the
@@ -11,12 +10,20 @@ import (
 // but an adversarial or broken reader must not spin forever.
 const eintrRetryLimit = 100
 
+// transient reports whether err is a retryable errno — EINTR, or the
+// EAGAIN/ETIMEDOUT a network filesystem may return — as syscall.Errno's
+// Temporary method classifies it.
+func transient(err error) bool {
+	var t interface{ Temporary() bool }
+	return errors.As(err, &t) && t.Temporary()
+}
+
 // readAtFull reads len(dst) bytes at off, absorbing the partial results
 // a network filesystem may deliver: a short ReadAt that made progress
-// continues from where it stopped, and EINTR retries in place. It
-// returns the bytes read and the first non-recoverable error — EOF
-// before len(dst) means the object really is shorter than the caller
-// expects and is surfaced, never looped on.
+// continues from where it stopped, and a transient error such as EINTR
+// retries in place. It returns the bytes read and the first
+// non-recoverable error — EOF before len(dst) means the object really
+// is shorter than the caller expects and is surfaced, never looped on.
 func readAtFull(r io.ReaderAt, dst []byte, off int64) (int, error) {
 	total := 0
 	spins := 0
@@ -27,7 +34,7 @@ func readAtFull(r io.ReaderAt, dst []byte, off int64) (int, error) {
 			spins = 0
 			continue // progress: keep reading regardless of err
 		}
-		if errors.Is(err, syscall.EINTR) {
+		if transient(err) {
 			if spins++; spins > eintrRetryLimit {
 				return total, err
 			}

@@ -183,9 +183,9 @@ func (m *MemTier) Read(ctx context.Context, key string, dst []byte) error {
 }
 
 // ReadVec implements VectoredReader: the whole batch copies out under
-// one read-lock acquisition instead of one per object — the MemTier
-// analogue of the file tier's descriptor reuse. Per-object atomicity is
-// unchanged (stronger, even: the batch is a consistent snapshot).
+// one read-lock acquisition instead of one per object. Per-object
+// atomicity is unchanged (stronger, even: the batch is a consistent
+// snapshot).
 func (m *MemTier) ReadVec(ctx context.Context, keys []string, dsts [][]byte) error {
 	if len(keys) != len(dsts) {
 		return fmt.Errorf("storage: %s: vectored read: %d keys, %d buffers", m.name, len(keys), len(dsts))
@@ -326,77 +326,26 @@ func (m *MemTier) Stats() Stats { return m.snapshot() }
 
 // FileTier stores each object as a file under a directory, the layout the
 // real system uses for /local/ (NVMe mount) and /remote/ (PFS mount)
-// offload directories.
-//
-// Two below-the-allocator fast paths ride on the same contract (see
-// FileTierOption): a bounded cache of open read descriptors, and an
-// opt-in O_DIRECT mode on Linux that moves aligned object bodies
-// between storage and the fetch buffers without the page cache.
+// offload directories. Every read opens the object's file, reads it
+// whole and closes it; every write publishes a fresh file by rename. It
+// holds no descriptors between operations.
 type FileTier struct {
 	name string
 	dir  string
-	fds  *fdCache // nil when descriptor caching is disabled
-
-	direct   bool        // O_DIRECT requested (WithDirectIO)
-	noDirect atomic.Bool // set when the filesystem rejected O_DIRECT; fall back for good
 	statsCell
 }
 
-// FileTierOption customizes a FileTier; the zero set keeps today's
-// portable semantics plus descriptor caching (safe everywhere — Write
-// invalidates, so staleness cannot occur).
-type FileTierOption func(*fileTierOpts)
-
-type fileTierOpts struct {
-	fdCache int
-	direct  bool
-}
-
-// WithFDCache bounds the tier's cache of open read descriptors; n <= 0
-// disables caching (every read reopens, the pre-cache behaviour).
-func WithFDCache(n int) FileTierOption {
-	return func(o *fileTierOpts) { o.fdCache = n }
-}
-
-// WithDirectIO requests O_DIRECT reads and writes where the platform
-// and filesystem support them. The tier probes at first use and falls
-// back to buffered I/O permanently on EINVAL/ENOTSUP (tmpfs, overlay),
-// so enabling it is always safe — just not always effective. Alignment
-// is handled internally: bodies whose buffer and length satisfy the
-// bufpool.DirectAlign contract transfer in place, remainders bounce
-// through an aligned scratch block.
-func WithDirectIO(on bool) FileTierOption {
-	return func(o *fileTierOpts) { o.direct = on }
-}
-
 // NewFileTier creates (if needed) dir and returns a tier backed by it.
-func NewFileTier(name, dir string, opts ...FileTierOption) (*FileTier, error) {
+func NewFileTier(name, dir string) (*FileTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", dir, err)
 	}
-	o := fileTierOpts{fdCache: DefaultFDCacheSize}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return &FileTier{
-		name:   name,
-		dir:    dir,
-		fds:    newFDCache(o.fdCache),
-		direct: o.direct && directIOSupported,
-	}, nil
+	return &FileTier{name: name, dir: dir}, nil
 }
 
-// Close releases cached descriptors. The tier remains usable (reads
-// reopen); Close exists so short-lived tiers do not pin fds until GC.
-func (f *FileTier) Close() error {
-	if f.fds != nil {
-		f.fds.closeAll()
-	}
-	return nil
-}
-
-// directEnabled reports whether the O_DIRECT path is still live.
-func (f *FileTier) directEnabled() bool { return f.direct && !f.noDirect.Load() }
+// Close is a no-op, since the tier keeps no descriptors open. It exists
+// so callers can release a FileTier like any other closable resource.
+func (f *FileTier) Close() error { return nil }
 
 // Name implements Tier.
 func (f *FileTier) Name() string { return f.name }
@@ -410,69 +359,40 @@ func (f *FileTier) path(key string) string {
 	return filepath.Join(f.dir, safe)
 }
 
-// fileHandle is an open read descriptor plus how to give it back:
-// cached handles release into the fd cache, uncached ones close.
-type fileHandle struct {
-	f      *os.File
-	direct bool // descriptor opened with O_DIRECT
-	ent    *fdEntry
-	cache  *fdCache
-}
-
-func (h *fileHandle) release() {
-	if h.ent != nil {
-		h.cache.release(h.ent)
-		return
-	}
-	h.f.Close()
-}
-
-// openRead returns a descriptor for key's object, from the fd cache
-// when enabled. The caller must release it exactly once.
-func (f *FileTier) openRead(key string) (*fileHandle, error) {
-	p := f.path(key)
-	want := f.directEnabled()
-	open := func() (*os.File, bool, error) {
-		fh, direct, err := openReadFile(p, want)
-		if err == nil && want && !direct {
-			f.noDirect.Store(true) // filesystem said no; stop asking
-		}
-		return fh, direct, err
-	}
-	if f.fds == nil {
-		fh, direct, err := open()
-		if err != nil {
-			return nil, err
-		}
-		return &fileHandle{f: fh, direct: direct}, nil
-	}
-	e, err := f.fds.acquire(p, open)
-	if err != nil {
-		return nil, err
-	}
-	return &fileHandle{f: e.f, direct: e.direct, ent: e, cache: f.fds}, nil
-}
-
-// readInto fills dst with key's object: the O_DIRECT vectored path when
-// the descriptor supports it, otherwise a short-read/EINTR-hardened
-// ReadAt loop (network filesystems may return partial reads that the
-// old single-ReadAt call misreported as corruption).
-func (f *FileTier) readInto(key string, dst []byte) error {
-	h, err := f.openRead(key)
+// openObject opens key's object and returns the file with its size.
+// The size comes from the open descriptor, and Write replaces objects
+// via rename, so the size and every later read describe the same
+// complete object even if a concurrent Write publishes a new one. The
+// caller closes the file.
+func (f *FileTier) openObject(key string) (*os.File, int64, error) {
+	fh, err := os.Open(f.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return fmt.Errorf("%w: %s/%s", ErrNotFound, f.name, key)
+			return nil, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, f.name, key)
 		}
+		return nil, 0, err
+	}
+	st, err := fh.Stat()
+	if err != nil {
+		fh.Close()
+		return nil, 0, err
+	}
+	return fh, st.Size(), nil
+}
+
+// readInto fills dst with key's object. An object larger than dst is
+// rejected before any byte moves; a smaller one ends in EOF inside
+// readAtFull, whose error reports how far the read got.
+func (f *FileTier) readInto(key string, dst []byte) error {
+	fh, size, err := f.openObject(key)
+	if err != nil {
 		return err
 	}
-	defer h.release()
-	if h.direct {
-		if err := readDirect(h.f, dst); err != nil {
-			return fmt.Errorf("storage: direct read %s/%s: %w", f.name, key, err)
-		}
-		return nil
+	defer fh.Close()
+	if size > int64(len(dst)) {
+		return fmt.Errorf("storage: %s/%s size %d != dst %d", f.name, key, size, len(dst))
 	}
-	if n, err := readAtFull(h.f, dst, 0); err != nil {
+	if n, err := readAtFull(fh, dst, 0); err != nil {
 		return fmt.Errorf("storage: short read %s/%s (%d/%d): %w", f.name, key, n, len(dst), err)
 	}
 	return nil
@@ -490,11 +410,10 @@ func (f *FileTier) Read(ctx context.Context, key string, dst []byte) error {
 	return nil
 }
 
-// ReadVec implements VectoredReader. Each object is its own file (and
-// so its own descriptor), so the batch cannot collapse into a single
-// preadv; the win is per-run instead: one aio scheduling decision for
-// the whole run, descriptors served from the fd cache, and each object
-// moved by the same direct/vectored single-object path as Read.
+// ReadVec implements VectoredReader. Each object is its own file, so
+// the batch cannot collapse into one system call; the win is one aio
+// scheduling decision for the whole run, with each object moved by the
+// same path as Read.
 func (f *FileTier) ReadVec(ctx context.Context, keys []string, dsts [][]byte) error {
 	if len(keys) != len(dsts) {
 		return fmt.Errorf("storage: %s: vectored read: %d keys, %d buffers", f.name, len(keys), len(dsts))
@@ -511,37 +430,21 @@ func (f *FileTier) ReadVec(ctx context.Context, keys []string, dsts [][]byte) er
 	return nil
 }
 
-// ReadObject implements ObjectReader. One file descriptor serves the
-// size probe and the whole read, and Write replaces objects via rename,
-// so a concurrent writer can never make this observe a torn object: the
-// opened inode stays the complete previous version. (With the fd cache
-// the descriptor may predate a concurrent Write — same guarantee, the
-// complete older version — and Write invalidates the cache entry so the
-// staleness window is one in-flight read, not forever.) The returned
-// buffer is caller-owned pooled memory (see MemTier.ReadObject).
+// ReadObject implements ObjectReader. One descriptor serves the size
+// probe and the whole read (see openObject), so a concurrent writer can
+// never make this observe a torn object. The returned buffer is
+// caller-owned pooled memory (see MemTier.ReadObject).
 func (f *FileTier) ReadObject(ctx context.Context, key string) ([]byte, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	h, err := f.openRead(key)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s/%s", ErrNotFound, f.name, key)
-		}
-		return nil, err
-	}
-	defer h.release()
-	st, err := h.f.Stat()
+	fh, size, err := f.openObject(key)
 	if err != nil {
 		return nil, err
 	}
-	data := bufpool.Get(int(st.Size()))
-	if h.direct {
-		if err := readDirect(h.f, data); err != nil {
-			bufpool.Put(data)
-			return nil, fmt.Errorf("storage: direct read %s/%s: %w", f.name, key, err)
-		}
-	} else if n, err := readAtFull(h.f, data, 0); err != nil {
+	defer fh.Close()
+	data := bufpool.Get(int(size))
+	if n, err := readAtFull(fh, data, 0); err != nil {
 		rerr := fmt.Errorf("storage: read %s/%s (%d/%d): %w", f.name, key, n, len(data), err)
 		bufpool.Put(data)
 		return nil, rerr
@@ -560,18 +463,6 @@ func (f *FileTier) Write(ctx context.Context, key string, src []byte) error {
 		return err
 	}
 	p := f.path(key)
-	if f.directEnabled() {
-		switch err := f.writeDirect(p, src); {
-		case err == nil:
-			f.invalidate(p)
-			f.addWrite(int64(len(src)))
-			return nil
-		case errors.Is(err, errDirectUnsupported):
-			f.noDirect.Store(true) // buffered path below takes over
-		default:
-			return fmt.Errorf("storage: direct write %s/%s: %w", f.name, key, err)
-		}
-	}
 	tmp, err := os.CreateTemp(f.dir, filepath.Base(p)+".*.tmp")
 	if err != nil {
 		return err
@@ -594,18 +485,8 @@ func (f *FileTier) Write(ctx context.Context, key string, src []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	f.invalidate(p)
 	f.addWrite(int64(len(src)))
 	return nil
-}
-
-// invalidate drops any cached descriptor for p. Write and Copy publish
-// via rename/remove, so a cached fd addresses the replaced inode and
-// would serve the old object forever.
-func (f *FileTier) invalidate(p string) {
-	if f.fds != nil {
-		f.fds.invalidate(p)
-	}
 }
 
 // Copy implements Copier with a hard link: the destination shares the
@@ -628,7 +509,6 @@ func (f *FileTier) Copy(ctx context.Context, srcKey, dstKey string) error {
 	if err := os.Remove(dst); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	f.invalidate(dst)
 	if err := os.Link(src, dst); err == nil {
 		return nil
 	}
@@ -645,12 +525,9 @@ func (f *FileTier) Delete(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p := f.path(key)
-	err := os.Remove(p)
-	if err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(f.path(key)); err != nil && !os.IsNotExist(err) {
 		return err
 	}
-	f.invalidate(p)
 	return nil
 }
 

@@ -112,14 +112,43 @@ func TestFileTierKeyEscaping(t *testing.T) {
 	}
 }
 
-func TestMemTierSizeMismatch(t *testing.T) {
-	m := NewMemTier("m")
+// TestTierSizeMismatch pins the Tier contract's "the object size must
+// equal len(dst)": reading an object into a larger or a smaller buffer
+// fails, through Read and ReadVec, on every concrete tier.
+func TestTierSizeMismatch(t *testing.T) {
 	ctx := context.Background()
-	if err := m.Write(ctx, "k", []byte{1, 2, 3}); err != nil {
+	ft, err := NewFileTier("file", t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Read(ctx, "k", make([]byte, 5)); err == nil {
-		t.Fatal("size mismatch not detected")
+	tiers := map[string]Tier{"mem": NewMemTier("mem"), "file": ft}
+	reads := map[string]func(Tier, string, []byte) error{
+		"Read": func(tier Tier, key string, dst []byte) error { return tier.Read(ctx, key, dst) },
+		"ReadVec": func(tier Tier, key string, dst []byte) error {
+			return ReadVec(ctx, tier, []string{key}, [][]byte{dst})
+		},
+	}
+	shapes := []struct {
+		name      string
+		obj, dstN int
+	}{
+		{"larger-object", 5, 3},
+		{"smaller-object", 3, 5},
+	}
+	for tname, tier := range tiers {
+		for rname, read := range reads {
+			for _, sh := range shapes {
+				t.Run(tname+"/"+rname+"/"+sh.name, func(t *testing.T) {
+					key := fmt.Sprintf("k%d", sh.obj)
+					if err := tier.Write(ctx, key, bytes.Repeat([]byte{7}, sh.obj)); err != nil {
+						t.Fatal(err)
+					}
+					if err := read(tier, key, make([]byte, sh.dstN)); err == nil {
+						t.Fatalf("%d-byte object read into %d-byte dst: nil error", sh.obj, sh.dstN)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 //
 // The capability exists for the engine's read-ahead coalescing: runs of
 // adjacent same-tier subgroup objects are submitted as one aio op, so
-// the tier sees the whole run at once — FileTier serves it over cached
-// descriptors with preadv (O_DIRECT-capable), MemTier under a single
-// lock acquisition.
+// the tier sees the whole run at once — FileTier reads it object by
+// object inside one aio op, MemTier under a single lock acquisition.
 type VectoredReader interface {
 	ReadVec(ctx context.Context, keys []string, dsts [][]byte) error
 }

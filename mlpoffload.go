@@ -259,20 +259,9 @@ func NewNodeLocks(exclusive bool) *NodeLocks { return tierlock.NewManager(exclus
 // NewMemTier returns an in-memory tier (tests, small experiments).
 func NewMemTier(name string) Tier { return storage.NewMemTier(name) }
 
-// FileTierOption configures a file tier (fd handle cache, O_DIRECT).
-type FileTierOption = storage.FileTierOption
-
-// WithFDCache bounds the tier's open-file handle cache (0 disables it).
-func WithFDCache(n int) FileTierOption { return storage.WithFDCache(n) }
-
-// WithDirectIO requests O_DIRECT file I/O where the platform and
-// filesystem support it; unsupported combinations fall back to buffered
-// I/O transparently.
-func WithDirectIO(on bool) FileTierOption { return storage.WithDirectIO(on) }
-
 // NewFileTier returns a directory-backed tier (a real NVMe or PFS mount).
-func NewFileTier(name, dir string, opts ...FileTierOption) (Tier, error) {
-	return storage.NewFileTier(name, dir, opts...)
+func NewFileTier(name, dir string) (Tier, error) {
+	return storage.NewFileTier(name, dir)
 }
 
 // ThrottleSpec configures bandwidth emulation for a tier.
