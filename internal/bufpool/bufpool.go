@@ -1,10 +1,10 @@
 // Package bufpool is a process-wide, size-classed []byte pool for the
-// cold-path staging buffers the system allocates per object: checkpoint
-// snapshot and staging streams, serialized-subgroup fetches, whole-object
-// tier reads, and codec decode buffers. These are multi-megabyte,
-// short-lived, and allocated at object granularity, so per-call make()
-// churns the garbage collector exactly when the engine is trying to keep
-// the CPU on the update kernels.
+// cold-path staging buffers the system allocates per object: whole-object
+// tier reads, in-memory tier objects, and the codec's encode outputs and
+// decode scratch. These are multi-megabyte, short-lived, and allocated
+// at object granularity, so per-call make() churns the garbage collector
+// exactly when the engine is trying to keep the CPU on the update
+// kernels.
 //
 // The contract is deliberately loose so call sites can adopt it
 // incrementally:

@@ -70,8 +70,9 @@ func TestConstructionMemoryContract(t *testing.T) {
 			// No collection while the shards are built: a GC empties the
 			// sync.Pool behind internal/bufpool, and the codec would re-make
 			// its staging buffers inside a measured window. The first,
-			// unmeasured construction fills that pool to the codec's
-			// concurrency.
+			// unmeasured construction fills that pool with what the codec
+			// holds per write in flight: an encode output buffer and one
+			// plane of scratch.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			alloc := func(subgroups int) uint64 {
 				tiers := fileTiers(t, 2e9, 1e9)

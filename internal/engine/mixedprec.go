@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/datastates/mlpoffload/internal/aio"
-	"github.com/datastates/mlpoffload/internal/bufpool"
 	"github.com/datastates/mlpoffload/internal/checkpoint"
 	"github.com/datastates/mlpoffload/internal/fp16"
 	"github.com/datastates/mlpoffload/internal/optim"
@@ -130,51 +129,6 @@ func (e *Engine) numerics() checkpoint.Numerics {
 	}
 }
 
-// marshalHostSubgroup serializes a host-resident subgroup into a pooled
-// buffer (checkpoint writers hold it across async writes; the buffer
-// returns to internal/bufpool via the caller's release path). A state
-// that aliases its fetched buffer is already serialized, so the pooled
-// copy is one memmove — never a conversion pass.
-func (e *Engine) marshalHostSubgroup(sgID int) ([]byte, error) {
-	sg := e.shard.Subgroups[sgID]
-	if sg.State == nil {
-		return nil, fmt.Errorf("engine: subgroup %d not host-resident", sgID)
-	}
-	size := subgroup.StateBytes(sg.Len())
-	buf := bufpool.Get(size)
-	if sg.Backing != nil {
-		copy(buf, sg.Backing[:size])
-		return buf, nil
-	}
-	if _, err := sg.Marshal(buf, false); err != nil {
-		bufpool.Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-// FetchSubgroupBytes returns the serialized optimizer state of one
-// subgroup — marshalled from memory when host-resident, read back from its
-// tier otherwise. The caller must Drain the engine first so pending lazy
-// flushes have landed; Engine.Checkpoint drains once for its whole plan
-// instead of once per subgroup. The returned buffer is caller-owned and
-// comes from internal/bufpool; callers that are done with it may recycle
-// it with bufpool.Put (dropping it is also fine).
-func (e *Engine) FetchSubgroupBytes(ctx context.Context, sgID int) ([]byte, error) {
-	if sgID < 0 || sgID >= len(e.shard.Subgroups) {
-		return nil, fmt.Errorf("engine: subgroup %d out of range", sgID)
-	}
-	if e.loc[sgID] == locHost {
-		return e.marshalHostSubgroup(sgID)
-	}
-	buf := bufpool.Get(subgroup.StateBytes(e.shard.Subgroups[sgID].Len()))
-	if err := e.readSyncRetry(e.loc[sgID], e.key(sgID), buf); err != nil {
-		bufpool.Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
 // Checkpoint writes a restorable checkpoint at the given step and commits
 // its manifest. Three transfer streams overlap: step-tagged snapshot
 // copies of the pre-staged subgroups on their own persistent tiers (so the
@@ -205,9 +159,17 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 	// this engine's premise it exceeds host memory. sem bounds the live
 	// checkpoint staging buffers across all three streams (snapshot
 	// copies, flush fetches, in-flight checkpoint writes); a token is
-	// held from buffer allocation until its last write lands.
+	// held from buffer allocation until its last write lands. The buffers
+	// are the engine's own fetch buffers: after the drain no fetch is in
+	// flight and only the host-resident states hold one, so at least
+	// prefetchDepth+UpdateWorkers+2 of the pool's quota sit idle — more
+	// than the window — and a checkpoint stages in no memory of its own.
 	window := e.prefetchDepth + 2
 	sem := make(chan struct{}, window)
+	unstage := func(buf []byte) {
+		e.fetchPool.Put(buf[:cap(buf)])
+		<-sem
+	}
 
 	// Snapshot stream: step-tagged same-tier copies of the pre-staged
 	// subgroups, pipelined on a side goroutine while the writer flushes.
@@ -231,7 +193,7 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 				continue
 			}
 			sem <- struct{}{}
-			buf := bufpool.Get(int(l.Bytes))
+			buf := e.fetchPool.Get()[:l.Bytes]
 			rop, err := e.aios[tier].SubmitReadClass(aio.Checkpoint, l.Key, buf)
 			if err == nil {
 				// Corrupt-retry, as everywhere the engine reads state.
@@ -240,21 +202,19 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 				}
 			}
 			if err != nil {
-				bufpool.Put(buf)
-				<-sem
+				unstage(buf)
 				snapErr = fmt.Errorf("engine: checkpoint snapshot read subgroup %d: %w", l.SubgroupID, err)
 				break // fall through: already-submitted writes must be waited
 			}
 			wop, err := e.aios[tier].SubmitWriteClass(aio.Checkpoint, snapKey, buf)
 			if err != nil {
-				bufpool.Put(buf)
-				<-sem
+				unstage(buf)
 				snapErr = fmt.Errorf("engine: checkpoint snapshot write subgroup %d: %w", l.SubgroupID, err)
 				break
 			}
 			writes = append(writes, wop)
 			//mlpvet:allow aioop completion only gates the buffer return; the op is on writes and its error is collected below
-			go func(op *aio.Op, buf []byte) { _ = op.Wait(); bufpool.Put(buf); <-sem }(wop, buf)
+			go func(op *aio.Op, buf []byte) { _ = op.Wait(); unstage(buf) }(wop, buf)
 		}
 		for _, op := range writes {
 			if err := op.Wait(); err == nil {
@@ -267,44 +227,61 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 
 	// Flush stream: an issuer keeps a bounded read-ahead of ToFlush
 	// subgroups in front of the writer, so checkpoint writes overlap the
-	// tier reads without ever staging more than the window.
+	// tier reads without ever staging more than the window. A resident
+	// state that aliases its fetched buffer is already serialized: the
+	// writer takes sg.Backing itself, with no copy and no token.
 	type staged struct {
 		sg   int
-		op   *aio.Op // nil for host-marshalled subgroups
+		op   *aio.Op // nil for host-resident subgroups
 		tier int     // tier op reads from (corrupt-retry target)
 		buf  []byte
 		err  error
+	}
+	aliased := make(map[*byte]bool)
+	for _, l := range plan.ToFlush {
+		if sg := e.shard.Subgroups[l.SubgroupID]; e.loc[l.SubgroupID] == locHost && sg.Backing != nil {
+			aliased[&sg.Backing[0]] = true
+		}
+	}
+	release := func(buf []byte) {
+		if !aliased[&buf[0]] {
+			unstage(buf)
+		}
 	}
 	stageCh := make(chan staged, len(plan.ToFlush))
 	stop := make(chan struct{})
 	go func() {
 		defer close(stageCh)
 		for _, l := range plan.ToFlush {
+			id := l.SubgroupID
+			sg := e.shard.Subgroups[id]
+			if e.loc[id] == locHost && sg.Backing != nil {
+				stageCh <- staged{sg: id, buf: sg.Backing[:l.Bytes]}
+				continue
+			}
 			select {
 			case sem <- struct{}{}:
 			case <-stop:
 				return
 			}
-			if e.loc[l.SubgroupID] == locHost {
-				buf, err := e.marshalHostSubgroup(l.SubgroupID)
-				if err != nil {
-					<-sem
-					stageCh <- staged{sg: l.SubgroupID, err: err}
+			buf := e.fetchPool.Get()[:l.Bytes]
+			if e.loc[id] == locHost {
+				if _, err := sg.Marshal(buf, false); err != nil {
+					unstage(buf)
+					stageCh <- staged{sg: id, err: err}
 					return
 				}
-				stageCh <- staged{sg: l.SubgroupID, buf: buf}
+				stageCh <- staged{sg: id, buf: buf}
 				continue
 			}
-			buf := bufpool.Get(int(l.Bytes))
-			tier := e.loc[l.SubgroupID]
+			tier := e.loc[id]
 			op, err := e.aios[tier].SubmitReadClass(aio.Checkpoint, l.Key, buf)
 			if err != nil {
-				bufpool.Put(buf)
-				<-sem
-				stageCh <- staged{sg: l.SubgroupID, err: err}
+				unstage(buf)
+				stageCh <- staged{sg: id, err: err}
 				return
 			}
-			stageCh <- staged{sg: l.SubgroupID, op: op, tier: tier, buf: buf}
+			stageCh <- staged{sg: id, op: op, tier: tier, buf: buf}
 		}
 	}()
 	fetch := func(_ context.Context, sgID int) ([]byte, error) {
@@ -318,15 +295,13 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 		if s.op != nil {
 			op, err := e.awaitRead(s.tier, s.op, e.key(s.sg), s.buf)
 			if err != nil {
-				bufpool.Put(s.buf)
-				<-sem // the writer never sees this buffer
+				unstage(s.buf) // the writer never sees this buffer
 				return nil, err
 			}
 			e.recordAsyncOp(op)
 		}
 		return s.buf, nil
 	}
-	release := func(buf []byte) { bufpool.Put(buf); <-sem }
 
 	_, werr := w.Write(ctx, step, plan, fetch, release)
 	// Abandon staging the writer never consumed (its loop stops at the
@@ -338,8 +313,7 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 			_ = s.op.Wait()
 		}
 		if s.err == nil {
-			bufpool.Put(s.buf)
-			<-sem
+			release(s.buf)
 		}
 	}
 	<-snapDone

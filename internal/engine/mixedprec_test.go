@@ -1,12 +1,20 @@
 package engine
 
+//mlpvet:allowfile clockcheck time.After here is a liveness timeout guard, not measured time
+
 import (
 	"context"
+	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
+	"time"
 
 	"github.com/datastates/mlpoffload/internal/checkpoint"
 	"github.com/datastates/mlpoffload/internal/storage"
+	"github.com/datastates/mlpoffload/internal/subgroup"
+	"github.com/datastates/mlpoffload/internal/tiercodec"
 )
 
 func TestLossScalingSkipsOverflowStep(t *testing.T) {
@@ -179,30 +187,235 @@ func TestCheckpointPreStaging(t *testing.T) {
 	}
 }
 
-func TestFetchSubgroupBytesMatchesState(t *testing.T) {
-	cfg := BaselineConfig(0, 200, 50, memTiers(1000))
-	e, err := New(cfg)
+// TestCheckpointObjectsMatchState: the objects a checkpoint writes — a
+// host-resident subgroup's taken straight from its fetched buffer, an
+// offloaded one's staged through an idle fetch buffer — read back, with
+// the codec on and off, to the engine's current parameters.
+func TestCheckpointObjectsMatchState(t *testing.T) {
+	ctx := context.Background()
+	for _, codec := range []bool{false, true} {
+		t.Run(fmt.Sprintf("codec=%v", codec), func(t *testing.T) {
+			cfg := BaselineConfig(0, 200, 50, memTiers(1000))
+			var ckpt storage.Tier = storage.NewMemTier("ckpt")
+			if codec {
+				cfg.Tiers = withCodec(cfg.Tiers, codecSpec)
+				ct, err := tiercodec.New(ckpt, codecSpec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ckpt = ct
+			}
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			run(t, e, 2)
+			want := gather(t, e)
+			w := checkpoint.NewWriter(ckpt, "run")
+			m, err := e.Checkpoint(ctx, 2, w)
+			w.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var host, offloaded int
+			for _, ent := range m.Entries {
+				tier := ckpt
+				if ent.Tier != "" {
+					tier = e.TierHandle(ent.Tier)
+				}
+				obj, err := storage.ReadWholeObject(ctx, tier, ent.Key)
+				if err != nil {
+					t.Fatalf("subgroup %d: %v", ent.SubgroupID, err)
+				}
+				sg := e.shard.Subgroups[ent.SubgroupID]
+				got := make([]float32, sg.Len())
+				if err := sg.ReadParams(got, obj); err != nil {
+					t.Fatalf("subgroup %d: %v", ent.SubgroupID, err)
+				}
+				off := e.sgOffset[ent.SubgroupID]
+				for i, v := range got {
+					if v != want[off+int64(i)] {
+						t.Fatalf("subgroup %d (origin %s) param %d: checkpoint has %v, engine %v", ent.SubgroupID, ent.Origin, i, v, want[off+int64(i)])
+					}
+				}
+				if ent.Origin == "host" {
+					host++
+				} else {
+					offloaded++
+				}
+			}
+			if host == 0 || offloaded == 0 {
+				t.Fatalf("checkpoint covered %d host-resident and %d offloaded subgroups, want both", host, offloaded)
+			}
+		})
+	}
+}
+
+// TestCheckpointAllocatesUnderOneObject: checkpoint staging rides the
+// engine's idle fetch buffers, so a whole checkpoint — offloaded
+// subgroups read, every object written — allocates less than one
+// subgroup object. Without a codec nothing on that path needs a pooled
+// buffer, so the bound holds with internal/bufpool emptied; with the
+// codec on every tier its per-op buffers and one-plane scratch come from
+// bufpool, warmed by a first checkpoint.
+func TestCheckpointAllocatesUnderOneObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under -race")
+	}
+	const (
+		params = 1_200_000
+		sub    = 100_000
+	)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		codec     tiercodec.Spec
+		emptyPool bool
+	}{
+		{"plain", tiercodec.Spec{}, true},
+		{"codec", codecSpec, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Collection off from the start: a GC empties the sync.Pool
+			// behind internal/bufpool, which only the plain case wants,
+			// and only right before the measured checkpoint.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			tiers := withCodec(fileTiers(t, 2e9, 1e9), tc.codec)
+			tiers[1].Persistent = true
+			cfg := MLPConfig(0, params, sub, tiers, nil)
+			cfg.AdaptivePlacement = false
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			var ckpt storage.Tier
+			if ckpt, err = storage.NewFileTier("ckpt", t.TempDir()); err != nil {
+				t.Fatal(err)
+			}
+			if tc.codec.Enabled() {
+				if ckpt, err = tiercodec.New(ckpt, tc.codec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w := checkpoint.NewWriter(ckpt, "run")
+			defer w.Close()
+
+			run(t, e, 4)
+			if _, err := e.Checkpoint(ctx, 4, w); err != nil { // warm-up
+				t.Fatal(err)
+			}
+			trainRange(t, e, 4, 5)
+			if tc.emptyPool {
+				runtime.GC() // two cycles empty a sync.Pool
+				runtime.GC()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := e.Checkpoint(ctx, 5, w)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged := 0
+			for _, ent := range m.Entries {
+				if !ent.PreStaged {
+					staged++
+				}
+			}
+			if staged == 0 {
+				t.Fatal("checkpoint staged nothing; the test exercised no staging")
+			}
+			object := uint64(subgroup.StateBytes(sub))
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("checkpoint of %d staged subgroups allocated %d B (one object is %d B)", staged, got, object)
+			if got >= object {
+				t.Errorf("checkpoint allocated %d B, limit is under one %d B subgroup object", got, object)
+			}
+		})
+	}
+}
+
+// TestCheckpointWholeShardResident: with a host cache that holds every
+// subgroup, the resident states take the most fetch buffers they ever
+// can and leave the fewest idle for checkpoint staging. The checkpoint
+// still completes, leaks no fetch buffer, and restores bit-identically.
+func TestCheckpointWholeShardResident(t *testing.T) {
+	const (
+		params = 600
+		sub    = 100
+		k      = 3
+		n      = 6
+	)
+	mk := func(pfs storage.Tier) Config {
+		tiers := []TierSpec{
+			{Tier: storage.NewMemTier("nvme"), ReadBW: 690, WriteBW: 530},
+			{Tier: pfs, ReadBW: 360, WriteBW: 360, Persistent: true},
+		}
+		cfg := MLPConfig(0, params, sub, withCodec(tiers, codecSpec), nil)
+		cfg.AdaptivePlacement = false
+		cfg.HostCacheSlots = params / sub
+		cfg.Grad = QuadraticGradFn(3)
+		cfg.Hyper.LR = 0.02
+		return cfg
+	}
+	ref, err := New(mk(storage.NewMemTier("pfs")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
-	run(t, e, 2)
-	// Both host-resident and offloaded subgroups are fetchable and carry
-	// the current parameters.
-	want := make([]float32, 200)
-	if err := e.GatherParams(want); err != nil {
+	trainRange(t, ref, 0, n)
+	want := gather(t, ref)
+	ref.Close()
+
+	pfs := storage.NewMemTier("pfs")
+	e1, err := New(mk(pfs))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for sgID := 0; sgID < 4; sgID++ {
-		buf, err := e.FetchSubgroupBytes(context.Background(), sgID)
-		if err != nil {
-			t.Fatalf("subgroup %d: %v", sgID, err)
-		}
-		if len(buf) == 0 {
-			t.Fatalf("subgroup %d empty", sgID)
+	trainRange(t, e1, 0, k)
+	held := 0
+	for _, sg := range e1.shard.Subgroups {
+		if sg.Backing != nil {
+			held++
 		}
 	}
-	if _, err := e.FetchSubgroupBytes(context.Background(), 99); err == nil {
-		t.Error("out-of-range subgroup accepted")
+	if held != e1.Subgroups() {
+		t.Fatalf("%d of %d subgroups hold a fetch buffer; the test needs the whole shard resident", held, e1.Subgroups())
+	}
+	free := e1.fetchPool.Free()
+	ckptTier := storage.NewMemTier("ckpt")
+	w := checkpoint.NewWriter(ckptTier, "run")
+	done := make(chan error, 1)
+	go func() {
+		_, err := e1.Checkpoint(context.Background(), k, w)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("checkpoint stalled waiting for a fetch buffer")
+	}
+	w.Close()
+	if got := e1.fetchPool.Free(); got != free {
+		t.Fatalf("fetch pool has %d free buffers after the checkpoint, %d before", got, free)
+	}
+	e1.Close()
+
+	e2, err := New(mk(pfs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	restoreLatest(t, e2, checkpoint.NewReader(ckptTier, "run"))
+	trainRange(t, e2, k, n)
+	got := gather(t, e2)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("param %d differs after resume: %v vs uninterrupted %v", i, got[i], want[i])
+		}
 	}
 }

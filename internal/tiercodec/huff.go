@@ -9,8 +9,9 @@ import (
 // Order-0 entropy coder for one byte plane: canonical Huffman, coded in
 // independent blocks so each region of a plane (master parameters, first
 // moments, second moments have different exponent distributions) gets its
-// own code table. A coded plane body is a sequence of blocks covering
-// huffBlock plane bytes each (the last one fewer):
+// own code table — which also lets a reader decode several planes a
+// block at a time (decodePlanes). A coded plane body is a sequence of
+// blocks covering huffBlock plane bytes each (the last one fewer):
 //
 //	u32 LE  length of the rest of the block (table + bitstream)
 //	128 B   code lengths of symbols 0..255, 4 bits each (low nibble first)
@@ -222,96 +223,96 @@ func appendHuff(dst, plane []byte, limit int) ([]byte, bool) {
 	return dst, true
 }
 
-// decodeHuff decodes a coded plane body into dst, exactly: every block
-// table must be a complete code and every block's bitstream must end in
-// the byte its last symbol ends in.
-func decodeHuff(dst, body []byte) error {
-	var lens [256]uint8
-	var codes [256]uint16
-	// Indexed by the next huffMaxBits bits of the stream. one: the symbol
-	// they start with, symbol<<4 | length. multi: every whole symbol they
-	// hold, up to three — symbols in the low three bytes in stream order,
-	// then 4 bits of total length and 2 bits of count. Exponent planes
-	// average under three bits a symbol, so one lookup yields nearly three.
-	var one [1 << huffMaxBits]uint16
-	var multi [1 << huffMaxBits]uint32
-	for len(dst) > 0 {
-		blk := dst[:min(huffBlock, len(dst))]
-		dst = dst[len(blk):]
-		if len(body) < huffBlockHead {
-			return errHuff
-		}
-		rest := int(binary.LittleEndian.Uint32(body))
-		if rest < huffTableBytes || rest > len(body)-4 {
-			return errHuff
-		}
-		for s := 0; s < 256; s += 2 {
-			b := body[4+s/2]
-			lens[s], lens[s+1] = b&15, b>>4
-		}
-		in := body[huffBlockHead : 4+rest]
-		body = body[4+rest:]
-		if !huffCodes(&lens, &codes) {
-			return errHuff
-		}
-		for s, l := range lens {
-			if l != 0 {
-				lo := int(codes[s]) << (huffMaxBits - l)
-				e := uint16(s)<<4 | uint16(l)
-				for j := lo; j < lo+1<<(huffMaxBits-l); j++ {
-					one[j] = e
-				}
-			}
-		}
-		for idx := range multi {
-			e := uint32(one[idx])
-			syms, total, count := e>>4, e&15, uint32(1)
-			for ; count < 3; count++ {
-				e = uint32(one[idx<<total&(1<<huffMaxBits-1)])
-				if total+e&15 > huffMaxBits {
-					break
-				}
-				syms |= e >> 4 << (8 * count)
-				total += e & 15
-			}
-			multi[idx] = syms | total<<24 | count<<28
-		}
+// huffDecoder holds the lookup tables one block's code builds. Indexed
+// by the next huffMaxBits bits of the stream. one: the symbol they start
+// with, symbol<<4 | length. multi: every whole symbol they hold, up to
+// three — symbols in the low three bytes in stream order, then 4 bits of
+// total length and 2 bits of count. Exponent planes average under three
+// bits a symbol, so one lookup yields nearly three.
+type huffDecoder struct {
+	lens  [256]uint8
+	codes [256]uint16
+	one   [1 << huffMaxBits]uint16
+	multi [1 << huffMaxBits]uint32
+}
 
-		// buf holds the next bits of the stream top-aligned; bits of them
-		// are accounted for (any below that are a preview the next refill
-		// ORs in again, unchanged).
-		var buf uint64
-		bits, pos, i := 0, 0, 0
-		for i+16 <= len(blk) && pos+8 <= len(in) {
-			buf |= binary.BigEndian.Uint64(in[pos:]) >> uint(bits)
-			pos += (63 - bits) >> 3
-			bits |= 56 // >= 4 lookups' worth
-			for k := 0; k < 4; k++ {
-				e := multi[buf>>(64-huffMaxBits)]
-				binary.LittleEndian.PutUint32(blk[i:], e) // the byte past the symbols is overwritten next
-				i += int(e >> 28)
-				buf <<= e >> 24 & 15
-				bits -= int(e >> 24 & 15)
+// block decodes the block at the front of body into blk, which is the
+// block's plane bytes (huffBlock, or fewer for a plane's last block), and
+// returns the rest of body. It decodes exactly: the block's table must
+// be a complete code and its bitstream must end in the byte its last
+// symbol ends in.
+func (d *huffDecoder) block(blk, body []byte) ([]byte, error) {
+	lens, codes, one, multi := &d.lens, &d.codes, &d.one, &d.multi
+	if len(body) < huffBlockHead {
+		return nil, errHuff
+	}
+	rest := int(binary.LittleEndian.Uint32(body))
+	if rest < huffTableBytes || rest > len(body)-4 {
+		return nil, errHuff
+	}
+	for s := 0; s < 256; s += 2 {
+		b := body[4+s/2]
+		lens[s], lens[s+1] = b&15, b>>4
+	}
+	in := body[huffBlockHead : 4+rest]
+	body = body[4+rest:]
+	if !huffCodes(lens, codes) {
+		return nil, errHuff
+	}
+	for s, l := range lens {
+		if l != 0 {
+			lo := int(codes[s]) << (huffMaxBits - l)
+			e := uint16(s)<<4 | uint16(l)
+			for j := lo; j < lo+1<<(huffMaxBits-l); j++ {
+				one[j] = e
 			}
-		}
-		for ; i < len(blk); i++ {
-			for ; bits <= 56 && pos < len(in); pos++ {
-				buf |= uint64(in[pos]) << uint(56-bits)
-				bits += 8
-			}
-			e := one[buf>>(64-huffMaxBits)]
-			if bits -= int(e & 15); bits < 0 {
-				return errHuff
-			}
-			blk[i] = byte(e >> 4)
-			buf <<= e & 15
-		}
-		if (8*pos-bits+7)/8 != len(in) {
-			return errHuff
 		}
 	}
-	if len(body) != 0 {
-		return errHuff
+	for idx := range multi {
+		e := uint32(one[idx])
+		syms, total, count := e>>4, e&15, uint32(1)
+		for ; count < 3; count++ {
+			e = uint32(one[idx<<total&(1<<huffMaxBits-1)])
+			if total+e&15 > huffMaxBits {
+				break
+			}
+			syms |= e >> 4 << (8 * count)
+			total += e & 15
+		}
+		multi[idx] = syms | total<<24 | count<<28
 	}
-	return nil
+
+	// buf holds the next bits of the stream top-aligned; bits of them
+	// are accounted for (any below that are a preview the next refill
+	// ORs in again, unchanged).
+	var buf uint64
+	bits, pos, i := 0, 0, 0
+	for i+16 <= len(blk) && pos+8 <= len(in) {
+		buf |= binary.BigEndian.Uint64(in[pos:]) >> uint(bits)
+		pos += (63 - bits) >> 3
+		bits |= 56 // >= 4 lookups' worth
+		for k := 0; k < 4; k++ {
+			e := multi[buf>>(64-huffMaxBits)]
+			binary.LittleEndian.PutUint32(blk[i:], e) // the byte past the symbols is overwritten next
+			i += int(e >> 28)
+			buf <<= e >> 24 & 15
+			bits -= int(e >> 24 & 15)
+		}
+	}
+	for ; i < len(blk); i++ {
+		for ; bits <= 56 && pos < len(in); pos++ {
+			buf |= uint64(in[pos]) << uint(56-bits)
+			bits += 8
+		}
+		e := one[buf>>(64-huffMaxBits)]
+		if bits -= int(e & 15); bits < 0 {
+			return nil, errHuff
+		}
+		blk[i] = byte(e >> 4)
+		buf <<= e & 15
+	}
+	if (8*pos-bits+7)/8 != len(in) {
+		return nil, errHuff
+	}
+	return body, nil
 }

@@ -112,6 +112,16 @@ func joinPlanes(dst []byte, planes [][]byte, n int) {
 // header and has room for len(src) more bytes plus a directory), or
 // reports false when no plane is worth coding or the result would not be
 // smaller than src — the caller then stores src raw.
+//
+// Scratch is one plane. The split pass lands every plane at the offset it
+// would take stored raw — raw planes first, which is already their final
+// place, then the coded ones in plane order — except the first coded
+// plane, which goes to the scratch (its slot stays empty). The coded
+// planes are then coded in order down to a write cursor behind them. The
+// cursor never passes the start of the slot being coded and a body is at
+// most a plane long, so no staged plane is overwritten before it is read;
+// a plane whose slot starts less than a plane past the cursor is copied
+// into the scratch first, since its own body could overrun it.
 func encodePlanes(buf, src []byte, stride int) ([]byte, bool) {
 	n := len(src) / stride
 	if n == 0 || n > math.MaxUint32 {
@@ -123,39 +133,53 @@ func encodePlanes(buf, src []byte, stride int) ([]byte, bool) {
 	}
 	base := len(buf)
 	dir := base
-	out := buf[:base+stride*dirEntrySize]
+	body := base + stride*dirEntrySize
+	out := buf[:body+stride*n]
 	putEntry := func(p int, mode uint8, size int) {
 		out[dir], out[dir+1] = uint8(p), mode
 		binary.LittleEndian.PutUint32(out[dir+2:], uint32(size))
 		dir += dirEntrySize
 	}
 
-	// Raw planes land in place; the others are gathered for the coder.
+	scratch := bufpool.Get(n)
+	defer bufpool.Put(scratch)
 	var planes [maxStride][]byte
-	gathered := bufpool.Get(n * bits.OnesCount(coded))
-	defer bufpool.Put(gathered)
-	for p, g := 0, 0; p < stride; p++ {
+	cursor := body
+	for p := 0; p < stride; p++ {
 		if coded&(1<<p) == 0 {
 			putEntry(p, planeRaw, n)
-			out = out[:len(out)+n]
-			planes[p] = out[len(out)-n:]
-		} else {
-			planes[p] = gathered[g : g+n]
-			g += n
+			planes[p] = out[cursor : cursor+n]
+			cursor += n
 		}
 	}
+	var slot [maxStride]int // each coded plane's offset in out
+	for p, at := 0, cursor; p < stride; p++ {
+		if coded&(1<<p) != 0 {
+			slot[p] = at
+			planes[p] = out[at : at+n]
+			at += n
+		}
+	}
+	first := bits.TrailingZeros(coded)
+	planes[first] = scratch
 	splitPlanes(planes[:stride], src, n)
 
-	for p := 0; p < stride; p++ {
+	out = out[:cursor]
+	for p := first; p < stride; p++ {
 		if coded&(1<<p) == 0 {
 			continue
 		}
+		src := planes[p]
+		if p != first && slot[p]-len(out) < n { // the body could reach it
+			src = scratch
+			copy(src, planes[p])
+		}
 		start := len(out)
 		var ok bool
-		if out, ok = appendHuff(out, planes[p], n); ok {
+		if out, ok = appendHuff(out, src, n); ok {
 			putEntry(p, planeCoded, len(out)-start)
 		} else { // the sample misjudged it
-			out = append(out, planes[p]...)
+			out = append(out, src...)
 			putEntry(p, planeRaw, n)
 		}
 	}
@@ -168,7 +192,12 @@ func encodePlanes(buf, src []byte, stride int) ([]byte, bool) {
 
 // decodePlanes decodes a plane-split payload into dst, whose length is
 // the header's raw length. Every directory field is checked against the
-// payload before it is used; scratch is bounded by len(dst).
+// payload before it is used. Coded bodies are sequences of independent
+// blocks (huff.go), so the planes decode row by row: one block of every
+// coded plane into the scratch — one block per coded plane, under one
+// plane for any object past a few blocks — and each row joins with the
+// raw planes straight into dst, one join pass in all. A corrupt block
+// found partway leaves the rows before it written.
 func decodePlanes(dst, payload []byte, stride int) error {
 	if stride > maxStride {
 		return errPlanes
@@ -180,8 +209,8 @@ func decodePlanes(dst, payload []byte, stride int) error {
 	}
 	bodies := payload[stride*dirEntrySize : len(payload)-tail]
 
-	var planes [maxStride][]byte
-	var seen uint
+	var planes [maxStride][]byte // raw planes, and coded planes' bodies
+	var seen, coded uint
 	for k := 0; k < stride; k++ {
 		e := payload[k*dirEntrySize:]
 		p, mode, size := int(e[0]), e[1], int(binary.LittleEndian.Uint32(e[2:]))
@@ -189,20 +218,15 @@ func decodePlanes(dst, payload []byte, stride int) error {
 			return errPlanes
 		}
 		seen |= 1 << p
-		body := bodies[:size]
+		planes[p] = bodies[:size]
 		bodies = bodies[size:]
 		switch mode {
 		case planeRaw:
 			if size != n {
 				return errPlanes
 			}
-			planes[p] = body
 		case planeCoded:
-			planes[p] = bufpool.Get(n)
-			defer bufpool.Put(planes[p])
-			if err := decodeHuff(planes[p], body); err != nil {
-				return err
-			}
+			coded |= 1 << p
 		default:
 			return errPlanes
 		}
@@ -210,7 +234,33 @@ func decodePlanes(dst, payload []byte, stride int) error {
 	if len(bodies) != 0 {
 		return errPlanes
 	}
-	joinPlanes(dst, planes[:stride], n)
+
+	var d huffDecoder
+	chunk := min(huffBlock, n)
+	scratch := bufpool.Get(bits.OnesCount(coded) * chunk)
+	defer bufpool.Put(scratch)
+	var row [maxStride][]byte
+	for off := 0; off < n; off += chunk {
+		m := min(chunk, n-off)
+		for p, s := 0, 0; p < stride; p++ {
+			if coded&(1<<p) == 0 {
+				row[p] = planes[p][off : off+m]
+				continue
+			}
+			row[p] = scratch[s : s+m]
+			s += chunk
+			var err error
+			if planes[p], err = d.block(row[p], planes[p]); err != nil {
+				return err
+			}
+		}
+		joinPlanes(dst[off*stride:], row[:stride], m)
+	}
+	for p := 0; p < stride; p++ {
+		if coded&(1<<p) != 0 && len(planes[p]) != 0 {
+			return errHuff
+		}
+	}
 	copy(dst[n*stride:], payload[len(payload)-tail:])
 	return nil
 }

@@ -3,14 +3,21 @@ package tiercodec
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"github.com/datastates/mlpoffload/internal/bufpool"
 	"github.com/datastates/mlpoffload/internal/fp16"
 	"github.com/datastates/mlpoffload/internal/optim"
 	"github.com/datastates/mlpoffload/internal/storage"
@@ -39,6 +46,33 @@ func adamState(tb testing.TB, params int) []byte {
 		tb.Fatal(err)
 	}
 	return obj
+}
+
+// initState is a never-updated serialized subgroup — initialized master
+// parameters and zero moments, the object construction writes. The zero
+// moments make every byte plane of it codable.
+func initState(tb testing.TB, params int) []byte {
+	tb.Helper()
+	sg := subgroup.New(0, params)
+	for i := range sg.State.Params {
+		sg.State.Params[i] = float32(math.Sin(float64(i))) * 0.02
+	}
+	obj := make([]byte, subgroup.StateBytes(params))
+	if _, err := sg.Marshal(obj, false); err != nil {
+		tb.Fatal(err)
+	}
+	return obj
+}
+
+// codedPlanes counts the coded entries in a plane-split object's directory.
+func codedPlanes(enc []byte) int {
+	coded := 0
+	for k := 0; k < int(enc[7]); k++ {
+		if enc[HeaderSize+k*dirEntrySize+1] == planeCoded {
+			coded++
+		}
+	}
+	return coded
 }
 
 // fp16Payload is an FP16-dominant payload: half-precision values around
@@ -78,6 +112,12 @@ func TestPlanesRoundTripTable(t *testing.T) {
 		{"random", randomPayload(big, 5), func(int, int) int { return int(CodecRaw) }},
 		{"adam", adamState(t, big/12)[:big], func(stride, n int) int {
 			if stride == 4 && n == big {
+				return int(CodecPlanes)
+			}
+			return -1
+		}},
+		{"init", initState(t, big/12)[:big], func(_, n int) int {
+			if n == big {
 				return int(CodecPlanes)
 			}
 			return -1
@@ -149,6 +189,77 @@ func TestPlanesCodeOnlyTheExponentPlane(t *testing.T) {
 	}
 	if ratio := ct.CodecStats().WriteRatio; ratio < 1.15 {
 		t.Errorf("write ratio %.3f, want >= 1.15", ratio)
+	}
+}
+
+// TestPlanesTrainedObjectBytes pins the wire bytes of trained Adam state,
+// which has one coded plane at stride 4 and at stride 2: how the encoder
+// stages its planes must never change what it writes.
+func TestPlanesTrainedObjectBytes(t *testing.T) {
+	obj := adamState(t, 100_000)
+	for _, tc := range []struct {
+		spec Spec
+		size int
+		sha  string
+	}{
+		{Spec{Compression: "flate", Integrity: true}, 993338, "e13692dd5311df59c8fb54f187c60b64b88c6abfef934cd21cddaa5fbc4922df"},
+		{Spec{Compression: "flate", Stride: 2}, 1048685, "7c11d2244eb8cd240d76f1599796fef71401f71fbc68ab17b2055249118f9f50"},
+	} {
+		enc := mustTier(t, storage.NewMemTier("mem"), tc.spec).Encode(obj)
+		if enc[5] != CodecPlanes || codedPlanes(enc) != 1 {
+			t.Fatalf("%v: codec id %d with %d coded planes, want planes with 1", tc.spec, enc[5], codedPlanes(enc))
+		}
+		sum := sha256.Sum256(enc)
+		if len(enc) != tc.size || hex.EncodeToString(sum[:]) != tc.sha {
+			t.Errorf("%v: encoded %d bytes, sha256 %x; want %d bytes, %s", tc.spec, len(enc), sum, tc.size, tc.sha)
+		}
+	}
+}
+
+// TestPlanesScratchIsOnePlane pins the codec's memory bound on the object
+// that takes every multi-plane path, a never-updated one (four coded
+// planes): with the collector off and the buffer pool empty, Encode
+// allocates its output buffer and at most one plane more, and Decode at
+// most one plane.
+func TestPlanesScratchIsOnePlane(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is inflated under -race")
+	}
+	obj := initState(t, 300_000)
+	ct := mustTier(t, storage.NewMemTier("mem"), Spec{Compression: "flate", Integrity: true})
+	plane := 1 << bits.Len(uint(len(obj)/4-1)) // bufpool rounds up to a power of two
+	const slack = 64 << 10                     // fixed-size bookkeeping
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated := func(op func()) uint64 {
+		runtime.GC() // two cycles empty the sync.Pool behind bufpool
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	var enc []byte
+	got := allocated(func() { enc = ct.Encode(obj) })
+	if enc[5] != CodecPlanes || codedPlanes(enc) != 4 {
+		t.Fatalf("codec id %d with %d coded planes, want planes with 4", enc[5], codedPlanes(enc))
+	}
+	if limit := uint64(cap(enc) + plane + slack); got > limit {
+		t.Errorf("Encode allocated %d B, limit is the %d B output buffer + one %d B plane", got, cap(enc), plane)
+	}
+
+	dst := make([]byte, len(obj))
+	var err error
+	got = allocated(func() { err = ct.Decode("k", enc, dst) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst, obj) {
+		t.Fatal("round trip mismatch")
+	}
+	if limit := uint64(plane + slack); got > limit {
+		t.Errorf("Decode allocated %d B, limit is one %d B plane", got, plane)
 	}
 }
 
@@ -236,6 +347,24 @@ func TestPlanesCorruptDirectory(t *testing.T) {
 			t.Errorf("%s: ReadObject returned %v, want ErrCorrupt", name, err)
 		}
 	}
+}
+
+// decodeHuff decodes a whole coded plane body into dst, block by block,
+// and requires the body to end with the plane.
+func decodeHuff(dst, body []byte) error {
+	var d huffDecoder
+	for len(dst) > 0 {
+		blk := dst[:min(huffBlock, len(dst))]
+		dst = dst[len(blk):]
+		var err error
+		if body, err = d.block(blk, body); err != nil {
+			return err
+		}
+	}
+	if len(body) != 0 {
+		return errHuff
+	}
+	return nil
 }
 
 // TestHuffLengthLimit drives the coder with a histogram whose optimal
@@ -330,6 +459,43 @@ func FuzzDecode(f *testing.F) {
 		back := make([]byte, len(got))
 		if err := ct.Read(ctx, "again", back); err != nil || !bytes.Equal(back, got) {
 			t.Fatalf("re-encode round trip: %v", err)
+		}
+	})
+}
+
+// FuzzEncodeRoundTrip: arbitrary bytes at every plane stride encode to
+// at most one header more than the input and decode back to exactly it.
+// A short input's sampled histogram calls most planes codable, so the
+// fuzzer drives the encoder's write cursor through every mix of coded,
+// raw and misjudged planes.
+func FuzzEncodeRoundTrip(f *testing.F) {
+	strides := []int{1, 2, 4, 8}
+	for _, seed := range [][]byte{adamState(f, 200), initState(f, 100), make([]byte, 300), fp16Payload(150), randomPayload(257, 3), {1, 2, 3}} {
+		for sel := range strides {
+			f.Add(seed, uint8(sel))
+		}
+	}
+	tiers := make([]*Tier, len(strides))
+	for i, stride := range strides {
+		ct, err := New(storage.NewMemTier("mem"), Spec{Compression: "flate", Stride: stride})
+		if err != nil {
+			f.Fatal(err)
+		}
+		tiers[i] = ct
+	}
+	f.Fuzz(func(t *testing.T, src []byte, sel uint8) {
+		ct := tiers[int(sel)%len(tiers)]
+		enc := ct.Encode(src)
+		defer bufpool.Put(enc)
+		if len(enc) > HeaderSize+len(src) {
+			t.Fatalf("stride %d: %d encoded bytes for %d", ct.Spec().Stride, len(enc), len(src))
+		}
+		got := make([]byte, len(src))
+		if err := ct.Decode("fuzz", enc, got); err != nil {
+			t.Fatalf("stride %d: %v", ct.Spec().Stride, err)
+		}
+		if !bytes.Equal(got, src) {
+			t.Fatalf("stride %d: %d-byte round trip mismatch", ct.Spec().Stride, len(src))
 		}
 	})
 }
