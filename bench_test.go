@@ -1,7 +1,7 @@
-// Package mlpoffload benchmarks: one benchmark per paper table/figure
-// (regenerating the artifact via the experiment harness) plus real-engine
-// benchmarks exercising the concurrent offload pipeline and ablation
-// benchmarks for the individual design principles.
+// Package mlpoffload benchmarks: real-engine benchmarks exercising the
+// concurrent offload pipeline and ablation benchmarks for the individual
+// design principles. The paper's tables and figures are regenerated by
+// cmd/mlpbench and pinned by internal/experiments' goldens.
 //
 // Run with: go test -bench=. -benchmem
 package mlpoffload
@@ -10,45 +10,8 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/datastates/mlpoffload/internal/experiments"
 	"github.com/datastates/mlpoffload/internal/hostcache"
 )
-
-// benchExperiment regenerates one paper artifact per benchmark iteration
-// (quick options: 3 simulated iterations, 1 warmup).
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := e.Run(experiments.Quick())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) == 0 {
-			b.Fatal("empty output")
-		}
-	}
-}
-
-func BenchmarkTab1Testbeds(b *testing.B)           { benchExperiment(b, "tab1") }
-func BenchmarkTab2Models(b *testing.B)             { benchExperiment(b, "tab2") }
-func BenchmarkFig1MemoryWall(b *testing.B)         { benchExperiment(b, "fig1") }
-func BenchmarkFig3UpdateIOFraction(b *testing.B)   { benchExperiment(b, "fig3") }
-func BenchmarkFig4RawBandwidth(b *testing.B)       { benchExperiment(b, "fig4") }
-func BenchmarkFig5SubgroupThroughput(b *testing.B) { benchExperiment(b, "fig5") }
-func BenchmarkFig7IterationBreakdown(b *testing.B) { benchExperiment(b, "fig7") }
-func BenchmarkFig8UpdateThroughput(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFig9EffectiveIO(b *testing.B)        { benchExperiment(b, "fig9") }
-func BenchmarkFig10TierDistribution(b *testing.B)  { benchExperiment(b, "fig10") }
-func BenchmarkFig11WeakScaling(b *testing.B)       { benchExperiment(b, "fig11") }
-func BenchmarkFig12WeakScalingThru(b *testing.B)   { benchExperiment(b, "fig12") }
-func BenchmarkFig13GradAccumulation(b *testing.B)  { benchExperiment(b, "fig13") }
-func BenchmarkFig14AblationNVMe(b *testing.B)      { benchExperiment(b, "fig14") }
-func BenchmarkFig15AblationMultiPath(b *testing.B) { benchExperiment(b, "fig15") }
 
 // mkEngine builds a real engine for benchmarking. Unthrottled in-memory
 // tiers isolate the pipeline's own overhead (serialization, async I/O,

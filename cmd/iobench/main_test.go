@@ -60,31 +60,6 @@ func TestMixedVirtualSLO(t *testing.T) {
 	}
 }
 
-// TestSeqScenarioSmoke runs the sequential-fetch scenario small
-// against a temp directory: every mode must complete, move the full byte
-// volume, and the coalesced mode must batch its ops (objs/batch vectored
-// submissions instead of one per object).
-func TestSeqScenarioSmoke(t *testing.T) {
-	const (
-		size   = 32 << 10
-		objs   = 8
-		passes = 2
-		batch  = 4
-	)
-	dir := t.TempDir()
-	per := seqMode(dir, "per-object", size, objs, passes, 1)
-	co := seqMode(dir, "coalesced", size, objs, passes, batch)
-	if per.ReadMBps <= 0 || co.ReadMBps <= 0 {
-		t.Fatalf("degenerate throughputs: per-object %.1f, coalesced %.1f", per.ReadMBps, co.ReadMBps)
-	}
-	if want := passes * objs; per.Ops != want {
-		t.Fatalf("per-object mode submitted %d ops, want %d", per.Ops, want)
-	}
-	if want := passes * objs / batch; co.Ops != want {
-		t.Fatalf("coalesced mode submitted %d ops, want %d", co.Ops, want)
-	}
-}
-
 // TestWaitBacklogVirtualDeterminism pins down the saturation gate's
 // virtual-clock behavior: its timeout is measured in simulated time, in
 // exact gateTick steps, so the gate burns the same simulated duration on

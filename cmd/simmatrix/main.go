@@ -2,17 +2,15 @@
 // sweeping regimes the paper never measured (bursty PFS bandwidth, mid-run
 // tier failure with a migration storm, codec on/off at 40B and 280B,
 // checkpoint storms, vectored-fetch economics). Each cell produces one
-// report in the stable BENCH schema-1 shape under a distinct
-// "simmatrix-<scenario>" name, so `simmatrix -json | benchmerge` folds the
-// whole matrix into the per-push BENCH_<run>.json trajectory.
+// report under a distinct "simmatrix-<scenario>" benchmark name.
 //
 // Usage:
 //
 //	simmatrix -list                      # scenario names and titles
 //	simmatrix                            # full matrix, text tables
 //	simmatrix -cells codec-40b -iters 4  # one CI-sized cell
-//	simmatrix -json -out matrix.json     # JSON array for benchmerge
-//	simmatrix -calibrate BENCH_x.json    # rates from a measured trajectory
+//	simmatrix -json -out matrix.json     # JSON array of cell reports
+//	simmatrix -calibrate e2e.json        # rates from a bench/e2e report
 package main
 
 import (
@@ -33,7 +31,7 @@ func main() {
 		iters     = flag.Int("iters", 0, "iterations per cell (0 = scenario default)")
 		warmup    = flag.Int("warmup", 0, "warmup iterations dropped from means (0 = scenario default)")
 		ckptJobs  = flag.Int("ckpt-jobs", 0, "checkpoint-storm stream count (0 = scenario default)")
-		calibrate = flag.String("calibrate", "", "BENCH_<run>.json to derive calibrated rates from")
+		calibrate = flag.String("calibrate", "", "bench/e2e report (-out file) to derive calibrated rates from")
 		jsonOut   = flag.Bool("json", false, "emit a JSON array of cell reports")
 		out       = flag.String("out", "", "output file (empty = stdout)")
 		list      = flag.Bool("list", false, "list scenario names and exit")
@@ -93,8 +91,7 @@ func main() {
 	}
 }
 
-// emit renders the reports as a JSON array (benchmerge input) or as
-// human-readable tables.
+// emit renders the reports as a JSON array or as human-readable tables.
 func emit(w io.Writer, reps []*simrun.CellReport, asJSON bool) error {
 	if asJSON {
 		enc := json.NewEncoder(w)

@@ -11,7 +11,7 @@ import (
 
 // TestEmitJSONRoundTrip: the -json output must be a JSON array of cell
 // reports that parses back to the same benchmark names — the contract
-// benchmerge's array splitting relies on.
+// CI's cell count and anyone reading simmatrix.json rely on.
 func TestEmitJSONRoundTrip(t *testing.T) {
 	reps, err := simrun.RunMatrix([]string{"coalesce-microfetch"},
 		simrun.MatrixOptions{Iterations: 2, Warmup: 1})

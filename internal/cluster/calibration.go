@@ -1,19 +1,19 @@
 package cluster
 
-// Calibration carries machine-measured rates derived from a BENCH_*.json
-// trajectory document (see simrun.CalibrationFromBench). Zero fields mean
-// "no measurement available — keep the testbed's Table 1 value".
+// Calibration carries machine-measured rates derived from the per-layer
+// probes of a bench/e2e report (see simrun.CalibrationFromBench). Zero
+// fields mean "no measurement available — keep the testbed's Table 1
+// value".
 type Calibration struct {
 	// UpdateParamsPerSec is the measured CPU Adam kernel rate in
-	// parameters/second (from the StepFP16KernelPool benchmark).
+	// parameters/second (optim.probe_adam_{serial,pool}_mparams_per_s).
 	UpdateParamsPerSec float64
 	// OpOverheadSec is the fixed per-I/O-op submission cost in seconds —
-	// the cost vectored coalescing amortizes (from the iobench-seq-fetch
-	// report's per-op vs coalesced-per-member latencies).
+	// the cost vectored coalescing amortizes (aio.probe_op_overhead_us).
 	OpOverheadSec float64
 	// CodecRatio is the measured compression ratio (raw/wire) and
 	// CodecEncBW/CodecDecBW the CPU encode/decode throughputs in raw
-	// bytes/second (from the iobench-codec report).
+	// bytes/second (tiercodec.ratio and tiercodec.probe_{encode,decode}_mbps).
 	CodecRatio float64
 	CodecEncBW float64
 	CodecDecBW float64

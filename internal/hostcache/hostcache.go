@@ -1,5 +1,6 @@
-// Package hostcache implements the host-memory subgroup cache and the
-// cache-friendly update-ordering policy of MLP-Offload.
+// Package hostcache implements MLP-Offload's cache-friendly
+// update-ordering policy, the host-memory subgroup cache it plays against
+// (LRU, in lru.go) and the pool of host staging buffers (BufferPool).
 //
 // The key observation (paper §3.2): Adam updates are embarrassingly
 // parallel across subgroups, so the processing order is free. Processing in
@@ -70,120 +71,6 @@ func ExpectedHits(policy Order, m, capacity int) int {
 		return capacity
 	}
 	return 0
-}
-
-// Residency tracks which subgroups currently live in host memory, with a
-// bounded number of slots. It implements the eviction the engine needs:
-// when full, Insert evicts the resident subgroup that will be used furthest
-// in the future according to the *next* processing order (Belady-style for
-// the known alternating schedule), falling back to lowest-priority.
-type Residency struct {
-	mu       sync.Mutex
-	capacity int
-	resident map[int]struct{}
-}
-
-// NewResidency creates a tracker with the given slot capacity (>= 0).
-func NewResidency(capacity int) *Residency {
-	if capacity < 0 {
-		panic("hostcache: negative capacity")
-	}
-	return &Residency{capacity: capacity, resident: make(map[int]struct{})}
-}
-
-// Capacity returns the slot capacity.
-func (r *Residency) Capacity() int { return r.capacity }
-
-// Len returns the number of resident subgroups.
-func (r *Residency) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.resident)
-}
-
-// Contains reports whether subgroup sg is host-resident.
-func (r *Residency) Contains(sg int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.resident[sg]
-	return ok
-}
-
-// Insert marks sg resident. If the cache is full it evicts according to
-// nextUse: the resident subgroup with the largest nextUse value is evicted
-// (use -1 / missing to mean "never used again", which evicts first).
-// It returns the evicted subgroup ID and true, or 0,false when no eviction
-// happened. Inserting an already-resident subgroup is a no-op.
-func (r *Residency) Insert(sg int, nextUse map[int]int) (evicted int, didEvict bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.resident[sg]; ok {
-		return 0, false
-	}
-	if r.capacity == 0 {
-		return 0, false // nothing can ever be resident
-	}
-	if len(r.resident) >= r.capacity {
-		victim, ok := r.pickVictim(nextUse)
-		if !ok {
-			return 0, false
-		}
-		delete(r.resident, victim)
-		r.resident[sg] = struct{}{}
-		return victim, true
-	}
-	r.resident[sg] = struct{}{}
-	return 0, false
-}
-
-// pickVictim chooses the resident subgroup used furthest in the future.
-// Missing entries in nextUse mean "never again" and win immediately.
-// Ties break toward the larger ID for determinism. Caller holds mu.
-func (r *Residency) pickVictim(nextUse map[int]int) (int, bool) {
-	best := -1
-	bestUse := -2
-	for sg := range r.resident {
-		use, ok := nextUse[sg]
-		if !ok {
-			use = 1 << 30 // never used again
-		}
-		if use > bestUse || (use == bestUse && sg > best) {
-			best, bestUse = sg, use
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-// Remove explicitly drops sg from residency (e.g. after flushing it to a
-// storage tier). Removing a non-resident subgroup is a no-op.
-func (r *Residency) Remove(sg int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.resident, sg)
-}
-
-// Snapshot returns the resident set (unordered copy).
-func (r *Residency) Snapshot() []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]int, 0, len(r.resident))
-	for sg := range r.resident {
-		out = append(out, sg)
-	}
-	return out
-}
-
-// NextUseIndex builds the map subgroup->position for an upcoming
-// processing order, for use as the Insert eviction oracle.
-func NextUseIndex(order []int) map[int]int {
-	m := make(map[int]int, len(order))
-	for pos, sg := range order {
-		m[sg] = pos
-	}
-	return m
 }
 
 // BufferPool is a fixed-size pool of equally sized byte buffers standing in

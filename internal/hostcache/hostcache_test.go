@@ -3,7 +3,6 @@ package hostcache
 //mlpvet:allowfile clockcheck time.After here is a liveness timeout guard, not measured time
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,104 +84,6 @@ func TestExpectedHits(t *testing.T) {
 	}
 	if got := ExpectedHits(Alternating, 10, 10); got != 10 {
 		t.Errorf("exact-fit hits = %d, want 10", got)
-	}
-}
-
-func TestResidencyBasics(t *testing.T) {
-	r := NewResidency(2)
-	if r.Contains(1) {
-		t.Error("empty cache contains 1")
-	}
-	if _, ev := r.Insert(1, nil); ev {
-		t.Error("unexpected eviction")
-	}
-	if _, ev := r.Insert(2, nil); ev {
-		t.Error("unexpected eviction")
-	}
-	if !r.Contains(1) || !r.Contains(2) || r.Len() != 2 {
-		t.Error("inserts lost")
-	}
-	// Duplicate insert is a no-op.
-	if _, ev := r.Insert(1, nil); ev {
-		t.Error("duplicate insert evicted")
-	}
-	r.Remove(1)
-	if r.Contains(1) || r.Len() != 1 {
-		t.Error("remove failed")
-	}
-	r.Remove(99) // no-op
-}
-
-func TestResidencyEvictsFurthestUse(t *testing.T) {
-	r := NewResidency(2)
-	r.Insert(1, nil)
-	r.Insert(2, nil)
-	// Next order uses 2 at position 0, 1 at position 5: evict 1.
-	next := map[int]int{2: 0, 1: 5}
-	ev, did := r.Insert(3, next)
-	if !did || ev != 1 {
-		t.Errorf("evicted %d (did=%v), want 1", ev, did)
-	}
-	if !r.Contains(2) || !r.Contains(3) {
-		t.Error("wrong survivor set")
-	}
-}
-
-func TestResidencyEvictsNeverUsedFirst(t *testing.T) {
-	r := NewResidency(2)
-	r.Insert(7, nil)
-	r.Insert(8, nil)
-	// 8 appears in the next order, 7 does not -> 7 goes.
-	ev, did := r.Insert(9, map[int]int{8: 0})
-	if !did || ev != 7 {
-		t.Errorf("evicted %d, want 7", ev)
-	}
-}
-
-func TestResidencyZeroCapacity(t *testing.T) {
-	r := NewResidency(0)
-	if _, did := r.Insert(1, nil); did {
-		t.Error("zero-capacity cache evicted something")
-	}
-	if r.Contains(1) || r.Len() != 0 {
-		t.Error("zero-capacity cache retained a subgroup")
-	}
-}
-
-func TestResidencySnapshotAndNextUseIndex(t *testing.T) {
-	r := NewResidency(3)
-	r.Insert(5, nil)
-	r.Insert(6, nil)
-	snap := r.Snapshot()
-	if len(snap) != 2 {
-		t.Errorf("snapshot = %v", snap)
-	}
-	idx := NextUseIndex([]int{4, 2, 0})
-	if idx[4] != 0 || idx[2] != 1 || idx[0] != 2 {
-		t.Errorf("NextUseIndex = %v", idx)
-	}
-}
-
-func TestResidencyConcurrentSafety(t *testing.T) {
-	r := NewResidency(8)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				sg := (seed*31 + i) % 32
-				r.Insert(sg, nil)
-				r.Contains(sg)
-				if i%3 == 0 {
-					r.Remove(sg)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if r.Len() > 8 {
-		t.Errorf("capacity violated: %d", r.Len())
 	}
 }
 

@@ -2,10 +2,8 @@
 // never measured — bursty tier bandwidth, mid-run tier failure with a
 // migration storm, codec on/off at 40B and 280B, checkpoint storms from
 // hundreds of co-tenant jobs, and vectored-fetch economics in a
-// small-object regime. Each cell emits one report in the stable BENCH
-// schema (cmd/benchmerge, schema 1) under a distinct
-// "simmatrix-<scenario>" name so CI tracks every cell as its own
-// trajectory series.
+// small-object regime. Each cell emits one report under a distinct
+// "simmatrix-<scenario>" benchmark name.
 package simrun
 
 import (
@@ -41,7 +39,7 @@ type CellConfig struct {
 }
 
 // CellResult is one variant's measurements within a cell (stable flat
-// keys for BENCH trajectory diffing).
+// keys, so two simmatrix.json files diff field by field).
 type CellResult struct {
 	Variant          string  `json:"variant"`
 	IterSec          float64 `json:"iter_sec"`
@@ -64,7 +62,7 @@ type CellResult struct {
 	PlanRatio        string  `json:"plan_ratio"`
 }
 
-// CellReport is one scenario cell's BENCH-schema report.
+// CellReport is one scenario cell's report.
 type CellReport struct {
 	Benchmark     string       `json:"benchmark"`
 	Config        CellConfig   `json:"config"`
@@ -150,8 +148,8 @@ func codecApproach(ap Approach, cal cluster.Calibration) Approach {
 		// and their tests are pinned to them. What bench/e2e measures on
 		// the 2-vCPU reference box, one core, 8 MB FP32 state objects:
 		// ratio 1.22, encode 0.8e9 B/s, decode 1.0e9 B/s (the DEFLATE
-		// writer this replaced: 1.21, 0.17e9, 0.32e9). Calibrate from an
-		// iobench-codec report (CalibrationFromBench) for real numbers.
+		// writer this replaced: 1.21, 0.17e9, 0.32e9). Calibrate from a
+		// bench/e2e report (CalibrationFromBench) for real numbers.
 		ap.CodecRatio = 1.5
 		ap.CodecEncBW = 2e9
 		ap.CodecDecBW = 3e9
@@ -325,19 +323,17 @@ func Scenarios() []Scenario {
 			run: func(opts MatrixOptions) (*CellReport, error) {
 				overhead := opts.Calibration.OpOverheadSec
 				if overhead <= 0 {
-					// iobench -seq per-object mode (open + submit per
-					// object) measured ~8.3us/op on the committed
-					// trajectory; the pooled vectored path pays it once per
-					// batch.
+					// A per-object read (open + submit per object) of a
+					// 16KB file measured ~8.3us/op; the pooled vectored
+					// path pays it once per batch.
 					overhead = 8.3e-6
 				}
-				// 1365-param subgroups (~16KB of state, the iobench -seq
-				// object scale): per-op cost rivals the transfer, the regime
-				// coalescing exists for. One cold iteration on a single GPU
-				// worker — the iobench shape itself (one submitter, queue
-				// depth bounded) so per-op cost serializes instead of hiding
-				// in device sharing — with the cache sized to the working
-				// set: the measurement is the refill itself (restart /
+				// 1365-param subgroups (~16KB of state): per-op cost rivals
+				// the transfer, the regime coalescing exists for. One cold
+				// iteration on a single GPU worker (one submitter, queue
+				// depth bounded), so per-op cost serializes instead of
+				// hiding in device sharing, with the cache sized to the
+				// working set: the measurement is the refill itself (restart /
 				// post-migration repopulation), before the steady-state
 				// flush stream takes over the critical path.
 				mdl := model.Config{Name: "micro-1M", NominalParams: 1 << 20}

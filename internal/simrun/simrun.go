@@ -172,8 +172,8 @@ type Config struct {
 	// saturating the tier.
 	CheckpointInterval float64
 	// OpOverhead is a fixed per-scheduler-op setup cost in seconds
-	// (calibrated from BENCH seq-fetch data); this is the cost coalescing
-	// amortizes.
+	// (calibrated from bench/e2e's aio.probe_op_overhead_us); this is
+	// the cost coalescing amortizes.
 	OpOverhead float64
 	// FullDuplex models each tier as independent read and write links at
 	// their nominal bandwidths (the semantics of storage.Throttled's two

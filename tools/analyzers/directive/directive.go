@@ -7,7 +7,7 @@
 // its own line (trailing comment) or on the line immediately below (a
 // directive on its own line). A file-scoped directive suppresses every
 // finding of that analyzer in the file — the clockcheck allowlist for
-// genuinely wall-clock files like benchmerge's report timestamp.
+// genuinely wall-clock files like a test's real-time liveness guard.
 //
 // Suppressions cannot rot: a directive that suppresses nothing in a run
 // that analyzed its file is itself reported as stale, and a directive
