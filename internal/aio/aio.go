@@ -748,23 +748,6 @@ type Metrics struct {
 	OpsFailed        int64
 }
 
-// ReadBW returns the observed *effective* read bandwidth in bytes/second
-// — raw bytes delivered per device second (0 when no reads completed).
-func (m Metrics) ReadBW() float64 {
-	if m.ReadTime <= 0 {
-		return 0
-	}
-	return float64(m.BytesRead) / m.ReadTime.Seconds()
-}
-
-// WriteBW returns the observed effective write bandwidth in bytes/second.
-func (m Metrics) WriteBW() float64 {
-	if m.WriteTime <= 0 {
-		return 0
-	}
-	return float64(m.BytesWritten) / m.WriteTime.Seconds()
-}
-
 // Metrics returns a snapshot of the engine counters.
 func (e *Engine) Metrics() Metrics {
 	return Metrics{

@@ -97,15 +97,18 @@ func TestMetricsAccumulate(t *testing.T) {
 	if m.OpsDone != 8 {
 		t.Errorf("OpsDone = %d", m.OpsDone)
 	}
-	if m.ReadBW() <= 0 || m.WriteBW() <= 0 {
-		t.Error("bandwidth should be measurable")
+	if m.ReadTime <= 0 || m.WriteTime <= 0 {
+		t.Errorf("read/write time = %v/%v, want both measured", m.ReadTime, m.WriteTime)
 	}
 }
 
+// TestMetricsZeroBW: an engine that has moved nothing reports no bytes
+// and no transfer time, so a caller differencing snapshots starts at 0.
 func TestMetricsZeroBW(t *testing.T) {
-	var m Metrics
-	if m.ReadBW() != 0 || m.WriteBW() != 0 {
-		t.Error("empty metrics should report 0 bandwidth")
+	e := New(storage.NewMemTier("m"), Config{})
+	defer e.Close()
+	if m := e.Metrics(); m != (Metrics{}) {
+		t.Errorf("fresh engine metrics = %+v, want zero", m)
 	}
 }
 

@@ -108,20 +108,10 @@ type Engine struct {
 	pendingFlush []*aio.Op
 	pendingGrads []*aio.Op
 	flushWG      sync.WaitGroup
-	mu           sync.Mutex // guards pendingFlush and the async-stats bookkeeping
-	// asyncFlushStats accumulates *write* metrics (bytes, transfer time)
-	// from asynchronous eviction flushes as they complete, plus the
-	// per-priority-class breakdown of every asynchronous op (flushes and
-	// migrations). An op still in flight when updatePhase folds the
-	// accumulator is attributed to the next iteration's fold —
-	// per-iteration totals are approximate at the boundary, while the
-	// series total stays exact.
-	asyncFlushStats struct {
-		bytes float64 // raw bytes flushed
-		wire  float64 // device-level bytes (encoded under a codec tier)
-		secs  float64
-		class map[string]metrics.ClassIO
-	}
+	mu           sync.Mutex // guards pendingFlush
+	// ioBase holds each tier's aio counters as of the previous foldIO:
+	// the zero point of the next iteration's I/O.
+	ioBase []ioCounters
 
 	// One ordering rule per object. Every tier op on a subgroup's state
 	// key — fetch, eviction write, stale-tier delete, migration read,
@@ -191,6 +181,7 @@ func New(cfg Config) (*Engine, error) {
 		e.Close()
 		return nil, err
 	}
+	e.foldIO(new(metrics.Iteration)) // the initial offload is in no iteration
 	return e, nil
 }
 
@@ -251,6 +242,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	e.fetchSem = make(chan struct{}, e.prefetchDepth)
 
 	e.names = make([]string, len(cfg.Tiers))
+	e.ioBase = make([]ioCounters, len(cfg.Tiers))
 	e.est = placement.NewEstimator(0.5)
 	for i, t := range cfg.Tiers {
 		e.names[i] = t.Tier.Name()
@@ -663,9 +655,68 @@ func (e *Engine) TrainIteration(iter int) (metrics.Iteration, error) {
 	}
 	it.Phases.Update = sw.Lap()
 
+	e.foldIO(&it)
 	it.TierBytes = e.tierBytes()
 	e.series.Append(it)
 	return it, nil
+}
+
+// ioCounters is one aio engine's counters at an instant.
+type ioCounters struct {
+	total aio.Metrics
+	class [aio.NumClasses]aio.ClassMetrics
+}
+
+// foldIO adds to it every op the engine's aio engines completed since the
+// previous fold — fetches, flushes, gradient writes, migrations,
+// checkpoint traffic and deletes alike — and makes now the next fold's
+// zero point. It is the only writer of an Iteration's byte, time and
+// ClassIO fields (see metrics.Iteration for the definition). An op still
+// in flight lands in a later fold, so per-iteration values shift at the
+// boundary while the series total stays exact.
+func (e *Engine) foldIO(it *metrics.Iteration) {
+	for i, a := range e.aios {
+		now := ioCounters{a.Metrics(), a.PerClassMetrics()}
+		cur, prev := now.total, e.ioBase[i].total
+		it.BytesRead += float64(cur.BytesRead - prev.BytesRead)
+		it.BytesWritten += float64(cur.BytesWritten - prev.BytesWritten)
+		it.WireBytesRead += float64(cur.WireBytesRead - prev.WireBytesRead)
+		it.WireBytesWritten += float64(cur.WireBytesWritten - prev.WireBytesWritten)
+		it.ReadTime += (cur.ReadTime - prev.ReadTime).Seconds()
+		it.WriteTime += (cur.WriteTime - prev.WriteTime).Seconds()
+		for c, cm := range now.class {
+			p := e.ioBase[i].class[c]
+			if cm.Ops == p.Ops {
+				continue
+			}
+			if it.ClassIO == nil {
+				it.ClassIO = make(map[string]metrics.ClassIO)
+			}
+			k := aio.Class(c).String()
+			it.ClassIO[k] = it.ClassIO[k].Add(metrics.ClassIO{
+				Ops:        int(cm.Ops - p.Ops),
+				Bytes:      float64(cm.Bytes - p.Bytes),
+				WireBytes:  float64(cm.WireBytes - p.WireBytes),
+				QueueDelay: (cm.QueueDelay - p.QueueDelay).Seconds(),
+				Transfer:   (cm.Transfer - p.Transfer).Seconds(),
+			})
+		}
+		e.ioBase[i] = now
+	}
+}
+
+// observe feeds a completed transfer to the placement estimator. The
+// estimator tracks *device* bandwidth, so it sees wire bytes: under
+// compression the raw count would inflate the tier's apparent speed by
+// the (data-dependent) ratio and destabilize the bandwidth-proportional
+// split.
+func (e *Engine) observe(tier int, op *aio.Op) {
+	wire, secs := float64(op.WireBytes()), op.TransferTime().Seconds()
+	if op.Kind == aio.Write {
+		e.est.ObserveWrite(e.names[tier], wire, secs)
+	} else {
+		e.est.ObserveRead(e.names[tier], wire, secs)
+	}
 }
 
 // tierBytes reports where the optimizer state lives right now. The

@@ -289,13 +289,9 @@ func (e *Engine) copyState(sg, from, to int) error {
 	if err := wop.Wait(); err != nil {
 		return err
 	}
-	// Feed the replanner and the per-iteration class breakdown. The
-	// estimator observes wire bytes — device bandwidth, not the
-	// codec-inflated effective rate.
-	e.est.ObserveRead(e.names[from], float64(rop.WireBytes()), rop.TransferTime().Seconds())
-	e.est.ObserveWrite(e.names[to], float64(wop.WireBytes()), wop.TransferTime().Seconds())
-	e.recordAsyncOp(rop)
-	e.recordAsyncOp(wop)
+	// Feed the replanner.
+	e.observe(from, rop)
+	e.observe(to, wop)
 	return nil
 }
 

@@ -197,9 +197,7 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 			rop, err := e.aios[tier].SubmitReadClass(aio.Checkpoint, l.Key, buf)
 			if err == nil {
 				// Corrupt-retry, as everywhere the engine reads state.
-				if rop, err = e.awaitRead(tier, rop, l.Key, buf); err == nil {
-					e.recordAsyncOp(rop)
-				}
+				_, err = e.awaitRead(tier, rop, l.Key, buf)
 			}
 			if err != nil {
 				unstage(buf)
@@ -216,12 +214,8 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 			//mlpvet:allow aioop completion only gates the buffer return; the op is on writes and its error is collected below
 			go func(op *aio.Op, buf []byte) { _ = op.Wait(); unstage(buf) }(wop, buf)
 		}
-		for _, op := range writes {
-			if err := op.Wait(); err == nil {
-				e.recordAsyncOp(op)
-			} else if snapErr == nil {
-				snapErr = fmt.Errorf("engine: checkpoint snapshot write: %w", err)
-			}
+		if err := waitOps(writes); err != nil && snapErr == nil {
+			snapErr = fmt.Errorf("engine: checkpoint snapshot write: %w", err)
 		}
 	}()
 
@@ -293,12 +287,10 @@ func (e *Engine) Checkpoint(ctx context.Context, step int, w *checkpoint.Writer)
 			return nil, s.err
 		}
 		if s.op != nil {
-			op, err := e.awaitRead(s.tier, s.op, e.key(s.sg), s.buf)
-			if err != nil {
+			if _, err := e.awaitRead(s.tier, s.op, e.key(s.sg), s.buf); err != nil {
 				unstage(s.buf) // the writer never sees this buffer
 				return nil, err
 			}
-			e.recordAsyncOp(op)
 		}
 		return s.buf, nil
 	}

@@ -24,10 +24,11 @@ import (
 //	workers   — UpdateWorkers goroutines consume items, wait for their
 //	            fetches, and run the Adam update + FP16 re-encode, so the
 //	            update of subgroup k overlaps with tier reads for k+1..k+d.
-//	committer — consumes items strictly in order: merges per-item metrics,
-//	            unpins, touches the LRU, and lazily flushes the displaced
-//	            victims, preserving the cache-friendly alternating-order
-//	            residency semantics of the single-threaded engine.
+//	committer — consumes items strictly in order: counts hits, misses
+//	            and kernel time, unpins, touches the LRU, and lazily
+//	            flushes the displaced victims, preserving the
+//	            cache-friendly alternating-order residency semantics of
+//	            the single-threaded engine.
 //
 // Errors propagate per subgroup: the first failure cancels the phase
 // context; the issuer stops issuing and in-flight workers skip their
@@ -48,25 +49,22 @@ type pendingFetch struct {
 }
 
 // coalescedFetch is the shared half of one vectored read-ahead batch:
-// the aio op covering every member and the batch's total payload size,
-// so members can attribute proportional shares of the op's wire bytes
-// and device time to their own metrics. The estimator sees the transfer
+// the aio op covering every member. The estimator sees the transfer
 // exactly once (obs), at full size — it tracks device bandwidth, and
 // the device made one pass.
 type coalescedFetch struct {
-	op    *aio.Op
-	total int
-	obs   sync.Once
+	op  *aio.Op
+	obs sync.Once
 }
 
 // updateItem carries one subgroup through the pipeline stages.
 type updateItem struct {
-	sgID int
-	hit  bool          // host-resident at issue time
-	pf   *pendingFetch // nil on a hit
-	err  error
-	m    metrics.Iteration // per-item measurements, merged at commit
-	done chan struct{}     // closed by the worker
+	sgID    int
+	hit     bool          // host-resident at issue time
+	pf      *pendingFetch // nil on a hit
+	err     error
+	compute float64       // Adam kernel seconds, counted at commit
+	done    chan struct{} // closed by the worker
 }
 
 // phaseRun is the shared state of one update phase's pipeline.
@@ -154,24 +152,6 @@ func (e *Engine) updatePhase(it *metrics.Iteration) error {
 	e.phase++
 	it.ParamsUpdated += e.shard.Params()
 
-	// Fold in async flush/migration metrics completed so far; ops still in
-	// flight land in the next iteration's fold (see asyncFlushStats).
-	e.mu.Lock()
-	it.BytesWritten += e.asyncFlushStats.bytes
-	it.WireBytesWritten += e.asyncFlushStats.wire
-	it.WriteTime += e.asyncFlushStats.secs
-	e.asyncFlushStats.bytes = 0
-	e.asyncFlushStats.wire = 0
-	e.asyncFlushStats.secs = 0
-	for k, v := range e.asyncFlushStats.class {
-		if it.ClassIO == nil {
-			it.ClassIO = make(map[string]metrics.ClassIO)
-		}
-		it.ClassIO[k] = it.ClassIO[k].Add(v)
-	}
-	e.asyncFlushStats.class = nil
-	e.mu.Unlock()
-
 	// Adaptive replanning from observed bandwidths (§3.3), then live
 	// migration of every offloaded subgroup the new plan displaced — the
 	// migrator converges reality onto the plan in the background instead
@@ -184,26 +164,6 @@ func (e *Engine) updatePhase(it *metrics.Iteration) error {
 		e.scheduleMigrations()
 	}
 	return nil
-}
-
-// recordAsyncOp folds one completed asynchronous op (eviction flush,
-// migration copy, checkpoint staging read or snapshot copy) into the
-// per-class accumulator the next update-phase fold publishes to
-// metrics.Iteration.ClassIO.
-func (e *Engine) recordAsyncOp(op *aio.Op) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.asyncFlushStats.class == nil {
-		e.asyncFlushStats.class = make(map[string]metrics.ClassIO)
-	}
-	k := op.Class().String()
-	c := e.asyncFlushStats.class[k]
-	c.Ops++
-	c.Bytes += float64(op.Bytes)
-	c.WireBytes += float64(op.WireBytes())
-	c.QueueDelay += op.QueueTime().Seconds()
-	c.Transfer += op.TransferTime().Seconds()
-	e.asyncFlushStats.class[k] = c
 }
 
 // issueItems is the issuer stage: it classifies and pins each subgroup in
@@ -316,14 +276,12 @@ func (e *Engine) issueCoalesced(run *phaseRun, batch []*updateItem, tier int) {
 	keys := make([]string, len(batch))
 	bufs := make([][]byte, len(batch))
 	dsts := make([][]byte, len(batch))
-	total := 0
 	for i, item := range batch {
 		e.fetchSem <- struct{}{} // the batch cap keeps this ≤ prefetchDepth
 		size := subgroup.StateBytes(e.shard.Subgroups[item.sgID].Len())
 		keys[i] = e.key(item.sgID)
 		bufs[i] = e.fetchPool.Get()
 		dsts[i] = bufs[i][:size]
-		total += size
 	}
 	op, err := e.aios[tier].SubmitReadVecClass(aio.Prefetch, keys, dsts)
 	if err != nil {
@@ -335,7 +293,7 @@ func (e *Engine) issueCoalesced(run *phaseRun, batch []*updateItem, tier int) {
 		run.fail(err)
 		return
 	}
-	co := &coalescedFetch{op: op, total: total}
+	co := &coalescedFetch{op: op}
 	for i, item := range batch {
 		item.pf = &pendingFetch{stateOp: op, stateBuf: bufs[i], tier: tier, co: co}
 	}
@@ -487,7 +445,6 @@ func (e *Engine) releaseFetch(pf *pendingFetch) {
 // conversion kernels — bit-identical either way.
 func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 	sg := e.shard.Subgroups[item.sgID]
-	it := &item.m
 	var gradBacking []byte // pooled buffer Grads32 aliases, if any
 	if pf := item.pf; pf != nil {
 		// This worker is now blocked on the fetch: it stops being
@@ -520,36 +477,15 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 			<-e.fetchSem
 			return err
 		}
-		secs := pf.stateOp.TransferTime().Seconds()
-		wire := float64(pf.stateOp.WireBytes())
-		queue := pf.stateOp.QueueTime().Seconds()
 		if co := pf.co; co != nil && pf.stateOp == co.op {
 			// Member of a coalesced vectored read (and still riding the
 			// batch op — a corrupt-retry in awaitRead would have replaced
-			// it with a private single read). The op's wire bytes and
-			// times cover the whole batch; attribute this member its
-			// proportional share so per-item metrics still sum to the
-			// true totals, and let exactly one member show the estimator the
-			// full transfer — the device made one pass.
-			frac := float64(size) / float64(co.total)
-			wire *= frac
-			secs *= frac
-			queue *= frac
-			co.obs.Do(func() {
-				e.est.ObserveRead(e.names[pf.tier], float64(pf.stateOp.WireBytes()),
-					pf.stateOp.TransferTime().Seconds())
-			})
+			// it with a private single read): exactly one member shows the
+			// estimator the whole transfer — the device made one pass.
+			co.obs.Do(func() { e.observe(pf.tier, pf.stateOp) })
 		} else {
-			// The estimator tracks *device* bandwidth, so it observes wire
-			// bytes: under compression the raw count would inflate the
-			// tier's apparent speed by the (data-dependent) ratio and
-			// destabilize the bandwidth-proportional split.
-			e.est.ObserveRead(e.names[pf.tier], wire, secs)
+			e.observe(pf.tier, pf.stateOp)
 		}
-		it.BytesRead += float64(size)
-		it.WireBytesRead += wire
-		it.ReadTime += secs
-		it.RecordClassIO(pf.stateOp.Class().String(), float64(size), wire, queue, secs)
 		if pf.gradOp != nil {
 			gradOp, err := e.awaitRead(pf.gradTier, pf.gradOp, e.gradKey(item.sgID), pf.gradBuf[:4*sg.Len()])
 			pf.gradOp = gradOp
@@ -564,22 +500,13 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 				return fmt.Errorf("engine: grad fetch subgroup %d: %w", item.sgID, err)
 			}
 			gradBacking = e.adoptGrads(sg, pf.gradBuf)
-			gsecs := pf.gradOp.TransferTime().Seconds()
-			gwire := float64(pf.gradOp.WireBytes())
-			it.BytesRead += float64(4 * sg.Len())
-			it.WireBytesRead += gwire
-			it.ReadTime += gsecs
-			it.RecordClassIO(pf.gradOp.Class().String(), float64(4*sg.Len()), gwire,
-				pf.gradOp.QueueTime().Seconds(), gsecs)
-			e.est.ObserveRead(e.names[pf.gradTier], gwire, gsecs)
+			e.observe(pf.gradTier, pf.gradOp)
 		}
 		<-e.fetchSem // fetch fully consumed: free the prefetch slot
-		it.CacheMisses++
 	} else {
 		if err := run.ctx.Err(); err != nil {
 			return err
 		}
-		it.CacheHits++
 		if !e.cfg.SkipGradFlush && sg.Grads32 == nil {
 			// Rare: baseline hit still needs grads from storage — from
 			// wherever backward flushed them this iteration.
@@ -624,7 +551,7 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 		sg.Grads32 = nil
 		e.gradPool.Put(gradBacking)
 	}
-	it.UpdateComputeTime += sw.Lap()
+	item.compute = sw.Lap()
 
 	// H2D: the refreshed FP16 parameters return to the device.
 	off := e.sgOffset[item.sgID]
@@ -632,11 +559,11 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 	return nil
 }
 
-// commitItems is the committer stage: strictly in order, it merges each
-// item's metrics, makes the subgroup's residency official, and lazily
-// flushes LRU victims. Successful items are committed even after a phase
-// failure so the engine's residency bookkeeping matches the updates that
-// actually happened.
+// commitItems is the committer stage: strictly in order, it counts each
+// item's cache outcome and kernel time, makes the subgroup's residency
+// official, and lazily flushes LRU victims. Successful items are
+// committed even after a phase failure so the engine's residency
+// bookkeeping matches the updates that actually happened.
 func (e *Engine) commitItems(run *phaseRun, it *metrics.Iteration, window chan struct{}, orderCh chan *updateItem) {
 	for item := range orderCh {
 		<-item.done
@@ -648,7 +575,12 @@ func (e *Engine) commitItems(run *phaseRun, it *metrics.Iteration, window chan s
 			<-window
 			continue
 		}
-		it.Merge(item.m)
+		if item.hit {
+			it.CacheHits++
+		} else {
+			it.CacheMisses++
+		}
+		it.UpdateComputeTime += item.compute
 
 		// Cache decision: most-recently-updated subgroups stay resident;
 		// displaced victims are lazily flushed to their (re)assigned tiers.
@@ -732,8 +664,6 @@ func (e *Engine) flushEvicted(v int, stale int) error {
 	if stale >= 0 && stale != tier {
 		e.reclaim(aio.Flush, stale, e.key(v))
 	}
-	name := e.names[tier]
-	nb := float64(n)
 	putBuf := func() {
 		if aliased {
 			e.fetchPool.Put(buf)
@@ -744,19 +674,10 @@ func (e *Engine) flushEvicted(v int, stale int) error {
 	e.flushWG.Add(1)
 	go func() {
 		defer e.flushWG.Done()
-		if op.Wait() != nil {
-			putBuf()
-			return // error surfaces via pendingFlush at the phase barrier
+		// A failed write surfaces via pendingFlush at the phase barrier.
+		if op.Wait() == nil {
+			e.observe(tier, op)
 		}
-		secs := op.TransferTime().Seconds()
-		// Device bandwidth observes wire bytes (see processItem).
-		e.est.ObserveWrite(name, float64(op.WireBytes()), secs)
-		e.recordAsyncOp(op)
-		e.mu.Lock()
-		e.asyncFlushStats.bytes += nb
-		e.asyncFlushStats.wire += float64(op.WireBytes())
-		e.asyncFlushStats.secs += secs
-		e.mu.Unlock()
 		putBuf()
 	}()
 	e.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"github.com/datastates/mlpoffload/internal/checkpoint"
 	"github.com/datastates/mlpoffload/internal/fp16"
 	"github.com/datastates/mlpoffload/internal/hostcache"
+	"github.com/datastates/mlpoffload/internal/metrics"
 	"github.com/datastates/mlpoffload/internal/subgroup"
 	"github.com/datastates/mlpoffload/internal/tiercodec"
 )
@@ -126,6 +127,10 @@ func (e *Engine) Restore(ctx context.Context, r *checkpoint.Reader, m checkpoint
 	for i := range e.partialNorms {
 		e.partialNorms[i] = 0
 	}
+	// The restore's traffic, its stale-key deletes included, is in no
+	// iteration.
+	e.flushWG.Wait()
+	e.foldIO(new(metrics.Iteration))
 	return nil
 }
 

@@ -38,18 +38,23 @@ type Iteration struct {
 	Phases Phases
 	// ParamsUpdated counts optimizer parameters stepped this iteration.
 	ParamsUpdated int64
-	// I/O observed while fetching and flushing offloaded subgroups during
-	// the update phase (storage tiers only; D2H is excluded, matching the
-	// paper's metric). BytesRead/BytesWritten are raw (caller-side)
-	// bytes; WireBytesRead/WireBytesWritten are the device-level counts,
-	// which a codec-wrapped tier shrinks — their ratio is the iteration's
-	// compression win, and bandwidth math must divide wire bytes (not
-	// raw) by transfer time.
+	// I/O is every storage-tier operation the engine's aio engines
+	// completed since the previous iteration's fold, in all priority
+	// classes: fetches, eviction flushes, the baseline's gradient writes
+	// and reads, migrations, checkpoint staging and deletes. Traffic
+	// between iterations (a checkpoint, say) lands in the next iteration,
+	// an op still in flight at the fold in a later one; a series total is
+	// exact. Construction and restore traffic is in no iteration, and D2H
+	// is excluded, matching the paper's metric. BytesRead/BytesWritten
+	// are raw (caller-side) bytes; WireBytesRead/WireBytesWritten are the
+	// device-level counts, which a codec-wrapped tier shrinks — their
+	// ratio is the iteration's compression win, and bandwidth math must
+	// divide wire bytes (not raw) by transfer time.
 	BytesRead        float64
 	BytesWritten     float64
 	WireBytesRead    float64
 	WireBytesWritten float64
-	ReadTime         float64 // summed transfer seconds across subgroups
+	ReadTime         float64 // summed transfer seconds across ops
 	WriteTime        float64
 	// Cache behaviour.
 	CacheHits   int
@@ -59,10 +64,12 @@ type Iteration struct {
 	TierBytes map[string]float64
 	// UpdateComputeTime is the CPU time inside the Adam kernel.
 	UpdateComputeTime float64
-	// ClassIO breaks the iteration's tier traffic down by I/O scheduler
-	// priority class (keys are aio.Class strings: "demand-fetch",
-	// "prefetch", "flush", "migration", ...). Queue delays expose
-	// head-of-line blocking the aggregate Read/WriteTime hides.
+	// ClassIO breaks the same I/O down by I/O scheduler priority class
+	// (keys are aio.Class strings: "demand-fetch", "prefetch", "flush",
+	// "migration", ...): the classes' Bytes sum to BytesRead+BytesWritten
+	// and their WireBytes to the wire aggregates. A delete is an op with
+	// no bytes. Queue delays expose head-of-line blocking the aggregate
+	// Read/WriteTime hides.
 	ClassIO map[string]ClassIO
 }
 
@@ -125,10 +132,10 @@ func (it *Iteration) RecordClassIO(class string, bytes, wireBytes, queueDelay, t
 	it.ClassIO[class] = c
 }
 
-// Merge folds another iteration's counters into it. The concurrent update
-// pipeline gives each worker a private Iteration accumulator and merges
-// them in commit order, so the totals are deterministic for a given set of
-// per-subgroup measurements regardless of worker interleaving.
+// Merge folds another iteration's counters into it: the sum of several
+// iterations (a run's total, or one step across ranks). Summed I/O keeps
+// the Iteration definition — every op completed across the merged
+// folds.
 func (it *Iteration) Merge(o Iteration) {
 	it.Phases = it.Phases.Add(o.Phases)
 	it.ParamsUpdated += o.ParamsUpdated

@@ -414,25 +414,39 @@ func ScenarioByName(name string) (Scenario, error) {
 // RunMatrix executes the named cells (nil/empty = all) and returns their
 // reports in matrix order.
 func RunMatrix(names []string, opts MatrixOptions) ([]*CellReport, error) {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
+	cells, err := selectScenarios(names)
+	if err != nil {
+		return nil, err
 	}
-	var out []*CellReport
-	for _, s := range Scenarios() {
-		if len(want) > 0 && !want[s.Name] {
-			continue
-		}
+	out := make([]*CellReport, 0, len(cells))
+	for _, s := range cells {
 		rep, err := s.Run(opts)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, rep)
-		delete(want, s.Name)
 	}
-	if len(want) > 0 {
-		for n := range want {
-			return nil, fmt.Errorf("simrun: unknown scenario %q", n)
+	return out, nil
+}
+
+// selectScenarios returns the named cells (nil/empty = all) in matrix
+// order, or an error naming the first unknown cell.
+func selectScenarios(names []string) ([]Scenario, error) {
+	all := Scenarios()
+	if len(names) == 0 {
+		return all, nil
+	}
+	want := make(map[string]bool, len(names))
+	for _, n := range names {
+		if _, err := ScenarioByName(n); err != nil {
+			return nil, err
+		}
+		want[n] = true
+	}
+	var out []Scenario
+	for _, s := range all {
+		if want[s.Name] {
+			out = append(out, s)
 		}
 	}
 	return out, nil

@@ -195,3 +195,31 @@ func TestScenarioByNameUnknown(t *testing.T) {
 		t.Error("RunMatrix with unknown name accepted")
 	}
 }
+
+// TestSelectScenarios: selecting one cell by name yields exactly that
+// cell, whatever its position in the matrix; an unknown name anywhere in
+// the list is an error; an empty list selects every cell.
+func TestSelectScenarios(t *testing.T) {
+	all := Scenarios()
+	for _, s := range all {
+		t.Run(s.Name, func(t *testing.T) {
+			got, err := selectScenarios([]string{s.Name})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0].Name != s.Name {
+				names := make([]string, len(got))
+				for i, g := range got {
+					names[i] = g.Name
+				}
+				t.Errorf("selected %v, want [%s]", names, s.Name)
+			}
+		})
+	}
+	if _, err := selectScenarios([]string{all[0].Name, "nope"}); err == nil {
+		t.Error("unknown name after a known one accepted")
+	}
+	if got, err := selectScenarios(nil); err != nil || len(got) != len(all) {
+		t.Errorf("empty selection: %d cells, err %v; want all %d", len(got), err, len(all))
+	}
+}
