@@ -7,12 +7,14 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	mlpoffload "github.com/datastates/mlpoffload"
 )
 
 func main() {
 	const params, subgroup = 400_000, 50_000
+	var ref []float32 // accum=1's parameters
 	for _, accum := range []int{1, 2, 4, 8} {
 		tiers := []mlpoffload.TierSpec{{
 			Tier: mlpoffload.NewThrottledTier(mlpoffload.NewMemTier("nvme"),
@@ -43,7 +45,16 @@ func main() {
 		fmt.Printf("accum=%d (batch x%d): iter=%.3fs bwd=%.3fs upd=%.3fs  param[0]=%.6f\n",
 			accum, accum, m.Phases.Total(), m.Phases.Backward, m.Phases.Update, out[0])
 		eng.Close()
+		if ref == nil {
+			ref = out
+			continue
+		}
+		for i := range out {
+			if math.Float32bits(out[i]) != math.Float32bits(ref[i]) {
+				log.Fatalf("accum=%d: param[%d] = %v, accum=1 gave %v", accum, i, out[i], ref[i])
+			}
+		}
 	}
-	fmt.Println("\nparam[0] is identical across accumulation settings: the update")
+	fmt.Println("\nEvery parameter is bit-identical across accumulation settings: the update")
 	fmt.Println("phase cost is amortized over larger effective batches (Fig. 13).")
 }

@@ -80,9 +80,9 @@ func main() {
 	m := eng.Series().Mean()
 	fmt.Printf("\noffload machinery during training: %.0f KB fetched/iter, hit rate %.0f%%, placement %s\n",
 		m.BytesRead/1024, m.HitRate()*100, eng.Plan().Ratio())
-	if final := loss(); final < 1.0 {
-		fmt.Printf("OK: model memorized the sequence (loss %.4f) with its optimizer state offloaded\n", final)
-	} else {
-		fmt.Printf("loss %.4f — expected < 1.0\n", final)
+	final := loss()
+	if final >= 1.0 {
+		log.Fatalf("loss %.4f — expected < 1.0", final)
 	}
+	fmt.Printf("OK: model memorized the sequence (loss %.4f) with its optimizer state offloaded\n", final)
 }

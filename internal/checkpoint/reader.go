@@ -29,9 +29,6 @@ func NewReader(tier storage.Tier, prefix string) *Reader {
 	return &Reader{tier: tier, prefix: prefix}
 }
 
-// Prefix returns the reader's key prefix.
-func (r *Reader) Prefix() string { return r.prefix }
-
 // Steps lists the steps that have a committed manifest, ascending. A
 // checkpoint whose data objects landed but whose manifest did not is
 // invisible here — by design, it is not a checkpoint.

@@ -14,13 +14,16 @@
 //     Advance/AdvanceToNext (or runs Drive in the background). BlockUntil
 //     lets the test wait until a known number of goroutines are parked
 //     before advancing, which makes multi-goroutine schedules exact.
+//     Driven this way, concurrent sleepers overlap in virtual time — the
+//     mode iobench -virtual uses.
 //
 //   - NewVirtualAuto returns a self-advancing clock: Sleep(d) advances
 //     shared time by d and returns immediately (waking any waiters that
 //     became due, oldest deadline first). A whole engine stack running on
 //     one auto clock executes its emulated transfers in microseconds of
 //     real time while virtual timestamps still accumulate the modeled
-//     durations — the mode iobench -virtual uses.
+//     durations. Concurrent sleepers each advance the shared clock, so
+//     their sleeps add up instead of overlapping.
 package clock
 
 import (

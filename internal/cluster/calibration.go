@@ -2,12 +2,8 @@ package cluster
 
 // Calibration carries machine-measured rates derived from the per-layer
 // probes of a bench/e2e report (see simrun.CalibrationFromBench). Zero
-// fields mean "no measurement available — keep the testbed's Table 1
-// value".
+// fields mean "no measurement available — keep the scenario's default".
 type Calibration struct {
-	// UpdateParamsPerSec is the measured CPU Adam kernel rate in
-	// parameters/second (optim.probe_adam_{serial,pool}_mparams_per_s).
-	UpdateParamsPerSec float64
 	// OpOverheadSec is the fixed per-I/O-op submission cost in seconds —
 	// the cost vectored coalescing amortizes (aio.probe_op_overhead_us).
 	OpOverheadSec float64
@@ -22,13 +18,4 @@ type Calibration struct {
 // IsZero reports whether no measurement was derived.
 func (c Calibration) IsZero() bool {
 	return c == Calibration{}
-}
-
-// Calibrated returns a copy of the testbed with measured rates substituted
-// for the spec-sheet values where the calibration has them.
-func (t Testbed) Calibrated(c Calibration) Testbed {
-	if c.UpdateParamsPerSec > 0 {
-		t.CPUUpdateParamsPerSec = c.UpdateParamsPerSec
-	}
-	return t
 }

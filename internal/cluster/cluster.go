@@ -9,15 +9,8 @@
 // throughput (65 GB/s on Testbed-1). Everything else is derived.
 package cluster
 
-import "fmt"
-
-// GiB and friends express byte quantities.
-const (
-	KiB = 1 << 10
-	MiB = 1 << 20
-	GiB = 1 << 30
-	TiB = 1 << 40
-)
+// GiB expresses byte quantities.
+const GiB = 1 << 30
 
 // GB is the decimal gigabyte used for bandwidth figures (GB/s in the paper
 // are decimal).
@@ -125,17 +118,6 @@ func Testbed2() Testbed {
 		CPUConvertBytesPerSec: 40 * GB,
 		InterconnectBW:        25 * GB, // Slingshot-10 class
 	}
-}
-
-// ByName looks up a testbed.
-func ByName(name string) (Testbed, error) {
-	switch name {
-	case "testbed1", "Testbed-1", "1":
-		return Testbed1(), nil
-	case "testbed2", "Testbed-2", "2":
-		return Testbed2(), nil
-	}
-	return Testbed{}, fmt.Errorf("cluster: unknown testbed %q", name)
 }
 
 // AggregateGPUMem returns total GPU memory of one node.

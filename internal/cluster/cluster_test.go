@@ -46,17 +46,6 @@ func TestMinBW(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, n := range []string{"testbed1", "Testbed-1", "1"} {
-		if _, err := ByName(n); err != nil {
-			t.Errorf("ByName(%q): %v", n, err)
-		}
-	}
-	if _, err := ByName("testbed9"); err == nil {
-		t.Error("expected error")
-	}
-}
-
 func TestHostMemRatios(t *testing.T) {
 	// Paper: host:GPU memory ratios are 1.6:1 (Testbed-1) and 3.2:1
 	// (Testbed-2).

@@ -116,9 +116,6 @@ type Proc struct {
 // Name returns the process name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Sim returns the owning simulation.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the current simulation time.
 func (p *Proc) Now() float64 { return p.sim.now }
 

@@ -109,7 +109,7 @@ type Config struct {
 	// prefetching).
 	HostCacheSlots int
 	// KernelWorkers sizes the engine-wide kernel worker pool that the
-	// Adam update and the FP16/BF16 bulk codecs draw from — one shared
+	// Adam update and the FP16 bulk codecs draw from — one shared
 	// pool instead of per-call goroutine churn. Chunk boundaries are fixed
 	// (kernpool.ChunkElems), so parameters are bit-identical at any worker
 	// count. 0 auto-tunes to min(GOMAXPROCS, 16); 1 runs kernels serially

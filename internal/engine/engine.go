@@ -88,7 +88,7 @@ type Engine struct {
 	fetchSem      chan struct{}
 
 	// kern is the engine-wide kernel worker pool (KernelWorkers > 1):
-	// the Adam update and the FP16/BF16 bulk codecs fan their fixed-size
+	// the Adam update and the FP16 bulk codecs fan their fixed-size
 	// chunks across it instead of spawning goroutines per call. nil runs
 	// every kernel serially on the calling goroutine.
 	kern *kernpool.Pool
@@ -558,15 +558,11 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 				g32[j] = e.cfg.Grad(iter, off+int64(j), p)
 			}
 		}
-		if accumStep == 0 {
-			fp16.EncodeOn(e.kern, sg.Grads16, g32)
-		} else {
-			// Accumulate: widen current buffer, add, re-narrow.
-			for j := 0; j < n; j++ {
-				g32[j] += fp16.ToFloat32(sg.Grads16[j])
-			}
-			fp16.EncodeOn(e.kern, sg.Grads16, g32)
+		if accumStep > 0 {
+			// Accumulate: widen the current buffer, add, re-narrow.
+			fp16.DecodeAccumulate(g32, sg.Grads16)
 		}
+		fp16.EncodeOn(e.kern, sg.Grads16, g32)
 		if lastAccum && e.cfg.ClipNorm > 0 {
 			// Partial L2 norm of the rounded FP16 values actually used by
 			// the update; combined globally before clipping.

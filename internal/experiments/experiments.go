@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/datastates/mlpoffload/internal/cluster"
@@ -126,25 +125,4 @@ var weakScalingCases = []struct {
 	GPUs  int
 }{
 	{"40B", 1, 4}, {"70B", 2, 8}, {"100B", 3, 12}, {"130B", 4, 16}, {"280B", 8, 32},
-}
-
-// sortedTierNames returns tier keys in host, nvme, pfs order (then others).
-func sortedTierNames(m map[string]float64) []string {
-	rank := map[string]int{"host": 0, "nvme": 1, "pfs": 2}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		ri, iok := rank[keys[i]]
-		rj, jok := rank[keys[j]]
-		if iok && jok {
-			return ri < rj
-		}
-		if iok != jok {
-			return iok
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
 }

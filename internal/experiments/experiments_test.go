@@ -102,13 +102,3 @@ func TestOptionsNormalize(t *testing.T) {
 		t.Errorf("warmup not clamped: %+v", o)
 	}
 }
-
-func TestSortedTierNames(t *testing.T) {
-	got := sortedTierNames(map[string]float64{"pfs": 1, "host": 2, "nvme": 3, "zzz": 4})
-	want := []string{"host", "nvme", "pfs", "zzz"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v", got)
-		}
-	}
-}

@@ -74,19 +74,6 @@ func View(b []byte) ([]float32, bool) {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), len(b)/4), true
 }
 
-// Bytes is the inverse view: it reinterprets f as the []byte holding its
-// little-endian serialized form. ok=false on a big-endian host ([]float32
-// is always 4-aligned, so only byte order can disqualify it).
-func Bytes(f []float32) ([]byte, bool) {
-	if !nativeLittleEndian {
-		return nil, false
-	}
-	if len(f) == 0 {
-		return nil, true
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), len(f)*4), true
-}
-
 // Decode converts len(dst) little-endian float32s from src into dst.
 // src must hold at least 4*len(dst) bytes. On viewable buffers it is a
 // single bulk copy; otherwise an 8-wide unrolled byte-assembling loop.

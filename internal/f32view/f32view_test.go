@@ -74,14 +74,6 @@ func TestViewRoundTrip(t *testing.T) {
 	if got := math.Float32frombits(binary.LittleEndian.Uint32(buf[28:])); got != 42 {
 		t.Fatalf("write through view not visible in bytes: %v", got)
 	}
-	// And Bytes is the inverse.
-	b, ok := Bytes(v)
-	if !ok {
-		t.Fatalf("Bytes not available on little-endian host")
-	}
-	if &b[0] != &buf[0] || len(b) != len(buf) {
-		t.Fatalf("Bytes did not alias the original buffer")
-	}
 }
 
 func TestViewableRejectsMisalignment(t *testing.T) {
@@ -119,9 +111,6 @@ func TestViewEmpty(t *testing.T) {
 		if NativeLittleEndian() {
 			t.Fatalf("empty view: got %v, %v", v, ok)
 		}
-	}
-	if b, ok := Bytes(nil); ok && b != nil {
-		t.Fatalf("empty bytes: got %v", b)
 	}
 }
 

@@ -63,27 +63,6 @@ func TestBulkKernelsMatchScalar(t *testing.T) {
 				t.Fatalf("n=%d DecodeAccumulate[%d] = %x, want %x", n, i, math.Float32bits(accGot[i]), math.Float32bits(wantAcc))
 			}
 		}
-
-		encB := make([]BF16, n)
-		EncodeBF16(encB, src)
-		for i := range encB {
-			if want := BF16FromFloat32(src[i]); encB[i] != want {
-				t.Fatalf("n=%d EncodeBF16[%d] = %#x, want %#x", n, i, encB[i], want)
-			}
-		}
-		decB := make([]float32, n)
-		DecodeBF16(decB, encB)
-		accB := append([]float32(nil), acc...)
-		DecodeAccumulateBF16(accB, encB)
-		for i := range encB {
-			want := BF16ToFloat32(encB[i])
-			if math.Float32bits(decB[i]) != math.Float32bits(want) {
-				t.Fatalf("n=%d DecodeBF16[%d] mismatch", n, i)
-			}
-			if math.Float32bits(accB[i]) != math.Float32bits(acc[i]+want) {
-				t.Fatalf("n=%d DecodeAccumulateBF16[%d] mismatch", n, i)
-			}
-		}
 	}
 }
 
@@ -126,31 +105,5 @@ func BenchmarkDecodeBulk(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Decode(dst, enc)
-	}
-}
-
-func BenchmarkDecodeBF16Bulk(b *testing.B) {
-	src := bulkValues(bulkBenchN, 44)
-	enc := make([]BF16, bulkBenchN)
-	EncodeBF16(enc, src)
-	dst := make([]float32, bulkBenchN)
-	b.SetBytes(bulkBenchN * 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DecodeBF16(dst, enc)
-	}
-}
-
-func BenchmarkDecodeAccumulateBF16(b *testing.B) {
-	src := bulkValues(bulkBenchN, 45)
-	enc := make([]BF16, bulkBenchN)
-	EncodeBF16(enc, src)
-	dst := make([]float32, bulkBenchN)
-	b.SetBytes(bulkBenchN * 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DecodeAccumulateBF16(dst, enc)
 	}
 }

@@ -142,9 +142,6 @@ func IsInf(h Bits) bool {
 	return h&expMask16 == expMask16 && h&fracMask16 == 0
 }
 
-// MaxFinite returns the largest finite half value as a float32.
-func MaxFinite() float32 { return maxFinite16 }
-
 // The bulk kernels below run over every gradient element every
 // iteration (the H2D re-encode of refreshed parameters, the delayed
 // gradient widening), so they are built from two pieces:

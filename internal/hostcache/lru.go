@@ -132,16 +132,6 @@ func (l *LRU) victim() (int, bool) {
 	return 0, false
 }
 
-// Remove drops sg from the set (no-op when absent).
-func (l *LRU) Remove(sg int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.member[sg] {
-		l.remove(sg)
-		delete(l.member, sg)
-	}
-}
-
 // remove deletes sg from the order slice. Caller holds mu.
 func (l *LRU) remove(sg int) {
 	for i, v := range l.order {

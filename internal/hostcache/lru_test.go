@@ -40,17 +40,6 @@ func TestLRUTouchRefreshes(t *testing.T) {
 	}
 }
 
-func TestLRURemove(t *testing.T) {
-	l := NewLRU(3)
-	l.Touch(1)
-	l.Touch(2)
-	l.Remove(1)
-	l.Remove(99) // no-op
-	if l.Contains(1) || l.Len() != 1 {
-		t.Error("remove failed")
-	}
-}
-
 func TestLRUZeroCapacity(t *testing.T) {
 	l := NewLRU(0)
 	v, ev := l.Touch(5)

@@ -1,5 +1,5 @@
 // Package kernpool provides the engine-wide shared kernel worker pool
-// that fans one large numeric kernel (the Adam step, the fp16/bf16 bulk
+// that fans one large numeric kernel (the Adam step, the fp16 bulk
 // conversions) across idle cores.
 //
 // The pipeline already overlaps subgroups against each other

@@ -3,10 +3,7 @@
 // memory/compute sizing for mixed-precision ZeRO-3 training.
 package model
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Config is a decoder-only transformer configuration in the style of
 // Table 2 of the paper.
@@ -88,16 +85,6 @@ func (c Config) Size() Sizing {
 	}
 }
 
-// SubgroupCount returns how many subgroups of subgroupParams parameters the
-// model shards into (ceiling division).
-func (c Config) SubgroupCount(subgroupParams int64) int {
-	p := c.Params()
-	if subgroupParams <= 0 {
-		panic("model: subgroupParams must be positive")
-	}
-	return int((p + subgroupParams - 1) / subgroupParams)
-}
-
 // FLOPsPerToken returns the approximate training FLOPs per token for the
 // forward pass (2*P multiply-accumulates -> ~2P FLOPs per token forward;
 // backward is ~2x forward; activation checkpointing adds a forward
@@ -139,31 +126,4 @@ func ByName(name string) (Config, error) {
 		}
 	}
 	return Config{}, fmt.Errorf("model: unknown config %q", name)
-}
-
-// Names returns the Table 2 model names in ascending parameter order.
-func Names() []string {
-	cs := Table2()
-	sort.Slice(cs, func(i, j int) bool { return cs[i].Params() < cs[j].Params() })
-	out := make([]string, len(cs))
-	for i, c := range cs {
-		out[i] = c.Name
-	}
-	return out
-}
-
-// Scaled returns a laptop-scale model preserving the architecture shape,
-// used by the real engine: same layer/hidden ratios, parameter count
-// scaled down by factor (e.g. 1000 turns 40B into 40M).
-func (c Config) Scaled(factor int) Config {
-	if factor <= 0 {
-		panic("model: scale factor must be positive")
-	}
-	s := c
-	s.Name = fmt.Sprintf("%s/%d", c.Name, factor)
-	s.NominalParams = c.Params() / int64(factor)
-	if s.NominalParams < 1 {
-		s.NominalParams = 1
-	}
-	return s
 }

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestTable2Complete(t *testing.T) {
 	cs := Table2()
@@ -75,70 +72,12 @@ func TestSizing(t *testing.T) {
 	}
 }
 
-func TestSubgroupCount(t *testing.T) {
-	c, _ := ByName("40B")
-	// Paper methodology: subgroup size 100M params -> 400 subgroups at 40B.
-	if got := c.SubgroupCount(100e6); got != 400 {
-		t.Errorf("40B/100M subgroups = %d, want 400", got)
-	}
-	if got := c.SubgroupCount(1e9); got != 40 {
-		t.Errorf("40B/1B subgroups = %d, want 40", got)
-	}
-}
-
-func TestSubgroupCountCeil(t *testing.T) {
-	c := Config{Name: "x", NominalParams: 101}
-	if got := c.SubgroupCount(50); got != 3 {
-		t.Errorf("ceil division broken: %d", got)
-	}
-}
-
 func TestByNameErrors(t *testing.T) {
 	if _, err := ByName("nope"); err == nil {
 		t.Error("expected error for unknown model")
 	}
 	if c, err := ByName("20B"); err != nil || c.Params() != 20e9 {
 		t.Errorf("20B lookup failed: %v %v", c, err)
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	names := Names()
-	if len(names) != 7 || names[0] != "40B" || names[len(names)-1] != "280B" {
-		t.Errorf("Names() = %v", names)
-	}
-}
-
-func TestScaled(t *testing.T) {
-	c, _ := ByName("40B")
-	s := c.Scaled(1000)
-	if s.Params() != 40e6 {
-		t.Errorf("scaled params = %d, want 40e6", s.Params())
-	}
-	if s.Layers != c.Layers || s.Hidden != c.Hidden {
-		t.Error("Scaled must preserve architecture shape fields")
-	}
-}
-
-func TestScaledPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Config{}.Scaled(0)
-}
-
-func TestPropertySubgroupCountCoversParams(t *testing.T) {
-	f := func(pSeed, gSeed uint32) bool {
-		p := int64(pSeed%1e9) + 1
-		g := int64(gSeed%1e7) + 1
-		c := Config{Name: "q", NominalParams: p}
-		n := int64(c.SubgroupCount(g))
-		return n*g >= p && (n-1)*g < p
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -119,34 +119,10 @@ func (s *LossScaler) SetState(st ScalerState) error {
 	return nil
 }
 
-// Unscale divides an FP32 gradient buffer by the current scale in place,
-// recovering true gradient magnitudes before the optimizer step.
-func (s *LossScaler) Unscale(grads []float32) {
-	inv := float32(1 / s.scale)
-	for i := range grads {
-		grads[i] *= inv
-	}
-}
-
 // String summarizes the scaler state.
 func (s *LossScaler) String() string {
 	return fmt.Sprintf("scale=%g good=%d skipped=%d overflows=%d",
 		s.scale, s.goodSteps, s.skips, s.overflows)
-}
-
-// ClipGradNorm scales grads in place so their global L2 norm does not
-// exceed maxNorm, returning the pre-clip norm (the standard global norm
-// clipping of LLM pre-training). maxNorm <= 0 disables clipping.
-func ClipGradNorm(grads []float32, maxNorm float64) float64 {
-	norm := GradNorm(grads)
-	if maxNorm <= 0 || norm <= maxNorm || norm == 0 {
-		return norm
-	}
-	f := float32(maxNorm / norm)
-	for i := range grads {
-		grads[i] *= f
-	}
-	return norm
 }
 
 // GlobalGradNorm combines per-subgroup norms into the global L2 norm:

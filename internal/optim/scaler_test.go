@@ -83,50 +83,9 @@ func TestScalerBounds(t *testing.T) {
 	}
 }
 
-func TestUnscale(t *testing.T) {
-	s := NewLossScaler()
-	s.scale = 4
-	g := []float32{4, -8, 0}
-	s.Unscale(g)
-	want := []float32{1, -2, 0}
-	for i := range want {
-		if g[i] != want[i] {
-			t.Errorf("g[%d] = %v", i, g[i])
-		}
-	}
-}
-
 func TestScalerString(t *testing.T) {
 	if !strings.Contains(NewLossScaler().String(), "scale=65536") {
 		t.Error("String malformed")
-	}
-}
-
-func TestClipGradNorm(t *testing.T) {
-	g := []float32{3, 4} // norm 5
-	pre := ClipGradNorm(g, 1)
-	if pre != 5 {
-		t.Errorf("pre-clip norm = %v", pre)
-	}
-	if post := GradNorm(g); math.Abs(post-1) > 1e-6 {
-		t.Errorf("post-clip norm = %v", post)
-	}
-	// Below the threshold: untouched.
-	g2 := []float32{0.3, 0.4}
-	ClipGradNorm(g2, 1)
-	if g2[0] != 0.3 {
-		t.Error("under-threshold grads modified")
-	}
-	// Disabled.
-	g3 := []float32{30, 40}
-	ClipGradNorm(g3, 0)
-	if g3[0] != 30 {
-		t.Error("disabled clipping modified grads")
-	}
-	// Zero grads: no NaN.
-	g4 := []float32{0, 0}
-	if ClipGradNorm(g4, 1) != 0 || g4[0] != 0 {
-		t.Error("zero-grad clipping broken")
 	}
 }
 

@@ -24,9 +24,6 @@ var ErrBurstExceeded = errors.New("ratelimit: request exceeds burst capacity")
 // production.
 type Clock = clockpkg.Clock
 
-// WallClock returns a Clock backed by the real time package.
-func WallClock() Clock { return clockpkg.Wall() }
-
 // Limiter is a token-bucket rate limiter measured in bytes per second.
 // It is safe for concurrent use. A zero-rate limiter blocks forever and is
 // rejected by NewLimiter.

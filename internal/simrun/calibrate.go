@@ -1,9 +1,11 @@
 // Calibration: deriving simulator inputs from a bench/e2e report (the
 // file `go run ./bench/e2e -out report.json` writes). The simulator's
 // hardware numbers come from the paper's Table 1; the quantities Table 1
-// does not provide — kernel rates, per-op submission overhead, codec
-// ratios and transform throughputs — are exactly the ones the benchmark's
-// layer probes measure, so the matrix reads them from there.
+// does not provide — per-op submission overhead, codec ratios and
+// transform throughputs — are exactly the ones the benchmark's layer
+// probes measure, so the matrix reads them from there. The Adam kernel
+// probe is not read: one process's kernel rate on the benchmark machine
+// is not a Testbed node's update rate, which stays Table 1's.
 package simrun
 
 import (
@@ -57,11 +59,6 @@ func CalibrationFromBench(data []byte) (cluster.Calibration, error) {
 	for _, wl := range metrics.SortedKeys(rep.Summary) {
 		layer := func(name string) float64 { return rep.Summary[wl].PerLayer[name].Median }
 
-		// Adam kernel rate: the best variant (serial vs pooled) of the
-		// fastest workload's probe.
-		for _, name := range []string{"optim.probe_adam_serial_mparams_per_s", "optim.probe_adam_pool_mparams_per_s"} {
-			cal.UpdateParamsPerSec = max(cal.UpdateParamsPerSec, 1e6*layer(name))
-		}
 		// Per-op submission overhead: submit-to-done of a 4 KiB read on an
 		// idle in-memory tier, the fixed cost batching amortizes.
 		if us := layer("aio.probe_op_overhead_us"); us > 0 {

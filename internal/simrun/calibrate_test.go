@@ -74,19 +74,19 @@ func TestCalibrationFromBench(t *testing.T) {
 		want cluster.Calibration
 	}{
 		{
-			// Kernel: the best variant of any workload (smallobj's serial
-			// 760). Overhead: the median of 7, 9 and 12 us. Codec: the one
-			// workload with ratio > 1, its probes read as raw bytes/s.
+			// Overhead: the median of 7, 9 and 12 us. Codec: the one
+			// workload with ratio > 1, its probes read as raw bytes/s. The
+			// Adam probes are not read.
 			name: "every workload",
 			doc:  []byte(e2eDoc),
-			want: cluster.Calibration{UpdateParamsPerSec: 760e6, OpOverheadSec: 9e-6,
+			want: cluster.Calibration{OpOverheadSec: 9e-6,
 				CodecRatio: 1.22, CodecEncBW: 800e6, CodecDecBW: 1000e6},
 		},
 		{
 			// An even count of overheads: the mean of the middle two.
 			name: "even overhead count",
 			doc:  only("mlp-iobound", "mlp-codec-ckpt"),
-			want: cluster.Calibration{UpdateParamsPerSec: 730e6, OpOverheadSec: 10.5e-6,
+			want: cluster.Calibration{OpOverheadSec: 10.5e-6,
 				CodecRatio: 1.22, CodecEncBW: 800e6, CodecDecBW: 1000e6},
 		},
 		{
@@ -94,7 +94,7 @@ func TestCalibrationFromBench(t *testing.T) {
 			// zero although the probes measured flate+crc anyway.
 			name: "no codec workload",
 			doc:  only("mlp-iobound", "mlp-smallobj"),
-			want: cluster.Calibration{UpdateParamsPerSec: 760e6, OpOverheadSec: 8e-6},
+			want: cluster.Calibration{OpOverheadSec: 8e-6},
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -113,7 +113,7 @@ func TestCalibrationFromBench(t *testing.T) {
 // conversions are float multiplications.
 func calEqual(a, b cluster.Calibration) bool {
 	eq := func(x, y float64) bool { return x == y || math.Abs(x-y) <= 1e-12*math.Max(math.Abs(x), math.Abs(y)) }
-	return eq(a.UpdateParamsPerSec, b.UpdateParamsPerSec) && eq(a.OpOverheadSec, b.OpOverheadSec) &&
+	return eq(a.OpOverheadSec, b.OpOverheadSec) &&
 		eq(a.CodecRatio, b.CodecRatio) && eq(a.CodecEncBW, b.CodecEncBW) && eq(a.CodecDecBW, b.CodecDecBW)
 }
 
@@ -126,6 +126,7 @@ func TestCalibrationFromBenchRejects(t *testing.T) {
 		{"not JSON", `not json`, "invalid character"},
 		{"no summary", `{"schema": 1, "run": "pr8", "go_benchmarks": [], "reports": {}}`, `no "summary"`},
 		{"nothing derivable", `{"summary": {"mlp-iobound": {"end_to_end": {"iter_s": {"median": 0.16}}}}}`, "no per-layer probe"},
+		{"only Adam probes", `{"summary": {"mlp-iobound": {"per_layer": {"optim.probe_adam_serial_mparams_per_s": {"median": 410}, "optim.probe_adam_pool_mparams_per_s": {"median": 730}}}}}`, "no per-layer probe"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cal, err := CalibrationFromBench([]byte(tc.doc))
@@ -136,25 +137,5 @@ func TestCalibrationFromBenchRejects(t *testing.T) {
 				t.Errorf("calibration = %+v alongside an error, want zero", cal)
 			}
 		})
-	}
-}
-
-// TestCalibratedTestbed: substitution only where measurements exist.
-func TestCalibratedTestbed(t *testing.T) {
-	tb := cluster.Testbed1()
-	cal := cluster.Calibration{UpdateParamsPerSec: 150e6}
-	got := tb.Calibrated(cal)
-	if got.CPUUpdateParamsPerSec != cal.UpdateParamsPerSec {
-		t.Errorf("CPUUpdateParamsPerSec = %g, want %g", got.CPUUpdateParamsPerSec, cal.UpdateParamsPerSec)
-	}
-	if got.NVMe.ReadBW != tb.NVMe.ReadBW {
-		t.Errorf("NVMe bandwidth changed by calibration")
-	}
-	zero := tb.Calibrated(cluster.Calibration{})
-	if zero.CPUUpdateParamsPerSec != tb.CPUUpdateParamsPerSec {
-		t.Errorf("zero calibration changed the testbed")
-	}
-	if !(cluster.Calibration{}).IsZero() {
-		t.Error("zero calibration not IsZero")
 	}
 }

@@ -19,10 +19,9 @@ type MatrixOptions struct {
 	Iterations     int // per-cell iterations (0 = scenario default)
 	Warmup         int // warmup iterations dropped from means
 	CheckpointJobs int // storm size override (0 = scenario default)
-	// Calibration substitutes machine-measured rates (kernel rate is NOT
-	// applied to paper-scale cells — Table 1 hardware keeps its spec-sheet
-	// update rate; overhead and codec quantities, which Table 1 does not
-	// provide, are used wherever the scenario needs them).
+	// Calibration substitutes machine-measured overhead and codec
+	// quantities, which Table 1 does not provide, wherever the scenario
+	// needs them.
 	Calibration cluster.Calibration
 }
 

@@ -558,7 +558,7 @@ func (t *Tier) Keys(ctx context.Context) ([]string, error) {
 
 // Stats implements storage.Tier with *raw* byte counts — the decorator
 // is transparent, so its traffic stats mirror what callers moved. The
-// device-level view is WireStats; the codec's own win is CodecStats.
+// codec's own accounting is CodecStats.
 func (t *Tier) Stats() storage.Stats {
 	return storage.Stats{
 		BytesRead:    t.rawOut.Load(),
@@ -567,9 +567,6 @@ func (t *Tier) Stats() storage.Stats {
 		Writes:       t.writes.Load(),
 	}
 }
-
-// WireStats returns the inner tier's (encoded-byte) statistics.
-func (t *Tier) WireStats() storage.Stats { return t.inner.Stats() }
 
 // CodecStats returns the codec's raw-vs-encoded accounting.
 func (t *Tier) CodecStats() Stats {

@@ -142,13 +142,6 @@ func (n *Node) Train(iters int) (*metrics.Series, error) {
 	return s, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // aggregate folds per-worker iterations into the node view.
 func aggregate(workers []metrics.Iteration) metrics.Iteration {
 	var out metrics.Iteration
@@ -257,38 +250,6 @@ func (n *Node) Resume(ctx context.Context, tier storage.Tier, prefix string) (in
 	}
 	n.iter = step
 	return step, nil
-}
-
-// resolveTier maps a manifest tier name to the node's tier handle.
-func (n *Node) resolveTier(name string) storage.Tier {
-	for _, ts := range n.cfg.Tiers {
-		if ts.Tier.Name() == name {
-			return ts.Tier
-		}
-	}
-	return nil
-}
-
-// PruneCheckpoints removes, for every rank, committed checkpoints beyond
-// the newest keep and sweeps orphaned objects from checkpoints whose
-// manifest never landed — without it each checkpoint (and each failed
-// attempt) leaves a full optimizer-state copy on storage forever.
-// keep <= 0 skips the retention pass but still sweeps orphans.
-func (n *Node) PruneCheckpoints(ctx context.Context, tier storage.Tier, prefix string, keep int) error {
-	trainTiers := make([]storage.Tier, len(n.cfg.Tiers))
-	for i, ts := range n.cfg.Tiers {
-		trainTiers[i] = ts.Tier
-	}
-	for rank := range n.engines {
-		r := checkpoint.NewReader(tier, rankPrefix(prefix, rank))
-		if _, err := r.Prune(ctx, keep, n.resolveTier); err != nil {
-			return fmt.Errorf("train: prune rank %d: %w", rank, err)
-		}
-		if _, err := r.SweepOrphans(ctx, trainTiers); err != nil {
-			return fmt.Errorf("train: sweep rank %d: %w", rank, err)
-		}
-	}
-	return nil
 }
 
 // GatherAll fetches every worker's FP32 master parameters into one slice

@@ -137,9 +137,6 @@ func (c *Conn) Recv(idle time.Duration) (byte, []byte, error) {
 	return hdr[4], payload, nil
 }
 
-// RemoteAddr names the peer, for diagnostics.
-func (c *Conn) RemoteAddr() string { return c.nc.RemoteAddr().String() }
-
 // Close closes the underlying connection; blocked Send/Recv calls
 // return with an error.
 func (c *Conn) Close() error { return c.nc.Close() }

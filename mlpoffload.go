@@ -53,7 +53,6 @@ package mlpoffload
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/datastates/mlpoffload/internal/checkpoint"
 	"github.com/datastates/mlpoffload/internal/cluster"
@@ -225,10 +224,6 @@ func RunElasticMember(ctx context.Context, cfg ElasticMemberConfig) (*ElasticMem
 // ElasticMemberConfig.DialBackoff. Its zero value is usable. The engine
 // paces its corrupt re-reads with a fixed policy of its own.
 type RetryBackoff = wire.Backoff
-
-// RecoverySpec models elastic failure/recovery economics — expected
-// rollback cost and the Young/Daly optimal checkpoint interval.
-type RecoverySpec = cluster.RecoverySpec
 
 // ---- Real model substrate ----
 
@@ -404,17 +399,4 @@ func RunExperiment(id string, iterations int) (string, error) {
 		opts.Warmup = iterations / 5
 	}
 	return e.Run(opts)
-}
-
-// RunAllExperiments regenerates every artifact in paper order.
-func RunAllExperiments(iterations int) (string, error) {
-	out := ""
-	for _, id := range experiments.IDs() {
-		s, err := RunExperiment(id, iterations)
-		if err != nil {
-			return out, fmt.Errorf("experiment %s: %w", id, err)
-		}
-		out += s + "\n"
-	}
-	return out, nil
 }

@@ -118,21 +118,6 @@ func TestDefaultAdamHyper(t *testing.T) {
 	}
 }
 
-func TestRunAllExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep")
-	}
-	out, err := RunAllExperiments(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, needle := range []string{"Table 1", "Figure 7", "Figure 15", "Extension"} {
-		if !strings.Contains(out, needle) {
-			t.Errorf("combined output missing %q", needle)
-		}
-	}
-}
-
 func TestFacadeGPT(t *testing.T) {
 	g, err := NewGPT(GPTConfig{Vocab: 8, Seq: 4, Dim: 8, Heads: 2, Layers: 1})
 	if err != nil {
