@@ -49,6 +49,9 @@ type Engine struct {
 	shard *subgroup.Shard
 	aios  []*aio.Engine
 	names []string
+	// keys and gradKeys are each subgroup's optimizer-state and
+	// FP32-gradient object names (see key, gradKey).
+	keys, gradKeys []string
 
 	est  *placement.Estimator
 	plan placement.Plan
@@ -216,6 +219,14 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	e.shard = subgroup.NewShard(cfg.Rank, cfg.Params, cfg.SubgroupParams)
 	m := len(e.shard.Subgroups)
+	// Every submit, migration and reclaim names its object; format the
+	// names once.
+	e.keys = make([]string, m)
+	e.gradKeys = make([]string, m)
+	for i := range e.keys {
+		e.keys[i] = subgroup.Key(cfg.Rank, i)
+		e.gradKeys[i] = fmt.Sprintf("rank%03d-sg%05d.grad", cfg.Rank, i)
+	}
 
 	maxLen := e.shard.MaxSubgroupLen()
 	stateBuf := subgroup.StateBytes(maxLen)
@@ -411,12 +422,10 @@ func (e *Engine) Series() *metrics.Series { return &e.series }
 func (e *Engine) Params16() []fp16.Bits { return e.params16 }
 
 // key returns the optimizer-state storage key for subgroup i.
-func (e *Engine) key(i int) string { return subgroup.Key(e.cfg.Rank, i) }
+func (e *Engine) key(i int) string { return e.keys[i] }
 
 // gradKey returns the FP32-gradient object key for subgroup i (baseline).
-func (e *Engine) gradKey(i int) string {
-	return fmt.Sprintf("rank%03d-sg%05d.grad", e.cfg.Rank, i)
-}
+func (e *Engine) gradKey(i int) string { return e.gradKeys[i] }
 
 // release ends the committer's or the migrator's hold on a subgroup.
 func (e *Engine) release(sg int) {

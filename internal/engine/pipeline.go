@@ -155,9 +155,11 @@ func (e *Engine) updatePhase(it *metrics.Iteration) error {
 	// Adaptive replanning from observed bandwidths (§3.3), then live
 	// migration of every offloaded subgroup the new plan displaced — the
 	// migrator converges reality onto the plan in the background instead
-	// of waiting for eviction traffic to happen to pass by.
+	// of waiting for eviction traffic to happen to pass by. Replan moves
+	// only the surplus of the tiers whose share shrank.
 	if e.cfg.AdaptivePlacement {
-		newPlan := placement.NewPlan(m, e.bandwidths())
+		// The update phase is e.plan's only writer, so it reads it unlocked.
+		newPlan := placement.Replan(e.plan, e.bandwidths())
 		e.cacheMu.Lock()
 		e.plan = newPlan
 		e.cacheMu.Unlock()

@@ -91,6 +91,8 @@ func Split(m int, tiers []TierBandwidth) []int {
 // rather than contiguous blocks lets consecutive subgroups prefetch from
 // different paths in parallel, which is what gives multi-path I/O its
 // overlap (Figure 6: S1 from NVMe and S2 from PFS fetched concurrently).
+// It deals initial plans; a replan derives from the plan it replaces
+// (Replan).
 func NewPlan(m int, tiers []TierBandwidth) Plan {
 	counts := Split(m, tiers)
 	assign := make([]int, m)
@@ -120,6 +122,95 @@ func NewPlan(m int, tiers []TierBandwidth) Plan {
 		remaining[best]--
 	}
 	return Plan{Tiers: append([]TierBandwidth(nil), tiers...), Counts: counts, Assign: assign}
+}
+
+// Replan derives the plan for new bandwidths from prev, moving as few
+// subgroups as Split's counts allow: each over-full tier gives up
+// exactly its surplus, to the under-full tiers, and every other
+// subgroup stays where it is. A 48:48 → 49:47 change moves one
+// subgroup, not half of them. A different tier set (names, in order)
+// leaves nothing to keep, so that replan is NewPlan's.
+//
+// Which subgroups move is chosen to keep Fig. 6's interleaving along
+// chains of replans (TestReplanKeepsInterleaving bounds the longest
+// same-tier run): one move at a time, the move that creates the
+// shortest run of its destination tier, then the one splitting the
+// longest run of its source tier nearest its middle, then the lowest
+// subgroup and tier index.
+func Replan(prev Plan, tiers []TierBandwidth) Plan {
+	m := len(prev.Assign)
+	if !sameTiers(prev.Tiers, tiers) {
+		return NewPlan(m, tiers)
+	}
+	counts := Split(m, tiers)
+	assign := append([]int(nil), prev.Assign...)
+	have := make([]int, len(tiers))
+	moves := 0
+	for _, t := range assign {
+		have[t]++
+	}
+	for t := range tiers {
+		moves += max(have[t]-counts[t], 0)
+	}
+	// ending[i] / starting[i]: length of the same-tier run that ends /
+	// starts at subgroup i.
+	ending, starting := make([]int, m), make([]int, m)
+	for ; moves > 0; moves-- {
+		for i := range assign {
+			ending[i] = 1
+			if i > 0 && assign[i-1] == assign[i] {
+				ending[i] += ending[i-1]
+			}
+			j := m - 1 - i
+			starting[j] = 1
+			if j < m-1 && assign[j+1] == assign[j] {
+				starting[j] += starting[j+1]
+			}
+		}
+		type cost struct{ run, split, skew int }
+		bestSg, bestTo := -1, -1
+		var best cost
+		for sg, t := range assign {
+			if have[t] <= counts[t] {
+				continue
+			}
+			l, r := ending[sg]-1, starting[sg]-1
+			for u := range tiers {
+				if have[u] >= counts[u] {
+					continue
+				}
+				c := cost{run: 1, split: -(l + r), skew: max(l-r, r-l)}
+				if sg > 0 && assign[sg-1] == u {
+					c.run += ending[sg-1]
+				}
+				if sg < m-1 && assign[sg+1] == u {
+					c.run += starting[sg+1]
+				}
+				if bestSg < 0 || c.run < best.run ||
+					c.run == best.run && (c.split < best.split || c.split == best.split && c.skew < best.skew) {
+					bestSg, bestTo, best = sg, u, c
+				}
+			}
+		}
+		have[assign[bestSg]]--
+		have[bestTo]++
+		assign[bestSg] = bestTo
+	}
+	return Plan{Tiers: append([]TierBandwidth(nil), tiers...), Counts: counts, Assign: assign}
+}
+
+// sameTiers reports whether a and b name the same tiers in the same
+// order.
+func sameTiers(a, b []TierBandwidth) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name {
+			return false
+		}
+	}
+	return true
 }
 
 // TierFor returns the tier index for a subgroup.

@@ -630,7 +630,7 @@ func Run(cfg Config) (*Result, error) {
 					// bandwidths; subsequent flushes migrate subgroups
 					// toward the faster paths.
 					if ap.AdaptivePlacement && len(r.tiers) > 1 {
-						r.plan = placement.NewPlan(M, r.est.Bandwidths(tierNames, 1))
+						r.plan = placement.Replan(r.plan, r.est.Bandwidths(tierNames, 1))
 					}
 				}
 				barrier.Await(p) // replanning visible to all before next iteration

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -332,6 +333,9 @@ func (m *MemTier) Stats() Stats { return m.snapshot() }
 type FileTier struct {
 	name string
 	dir  string
+	// noExchange is set once the exchange publish is refused; Write
+	// then publishes by rename only.
+	noExchange atomic.Bool
 	statsCell
 }
 
@@ -361,9 +365,9 @@ func (f *FileTier) path(key string) string {
 
 // openObject opens key's object and returns the file with its size.
 // The size comes from the open descriptor, and Write replaces objects
-// via rename, so the size and every later read describe the same
-// complete object even if a concurrent Write publishes a new one. The
-// caller closes the file.
+// by publishing a fresh inode, so the size and every later read
+// describe the same complete object even if a concurrent Write
+// publishes a new one. The caller closes the file.
 func (f *FileTier) openObject(key string) (*os.File, int64, error) {
 	fh, err := os.Open(f.path(key))
 	if err != nil {
@@ -453,11 +457,31 @@ func (f *FileTier) ReadObject(ctx context.Context, key string) ([]byte, error) {
 	return data, nil
 }
 
-// Write implements Tier. Writes go to a uniquely named temp file and
-// rename for atomicity: a crashed flush must not leave a torn subgroup
-// object, and concurrent writers of one key must each publish a complete
-// object (a shared temp path would let one writer rename another's
-// half-written file into place).
+// Write implements Tier. The object goes to a uniquely named temp file
+// in the tier's directory, which is then published under the key: a
+// crashed flush must not leave a torn subgroup object, and concurrent
+// writers of one key must each publish a complete object (a shared temp
+// path would let one writer rename another's half-written file into
+// place). Readers see the old object or the new one at every instant,
+// never a missing key.
+//
+// Over an existing key the temp file is published by exchanging the two
+// names (Linux renameat2 with RENAME_EXCHANGE), after which the temp
+// name holds the old object's inode and is unlinked. A rename over an
+// existing file makes ext4 (auto_da_alloc) start writeback of the new
+// data inside rename(); the exchange does not, which is most of a
+// flush's cost on a fast device. A first write (nothing to exchange
+// with), or a kernel, filesystem or OS without the exchange, publishes
+// by plain rename instead; the first refusal of the exchange switches
+// the tier to rename for good.
+//
+// If unlinking the old inode's temp name fails after the exchange, Write
+// still returns nil: the new object is published and the write is
+// complete. The old bytes stay behind under a *.tmp name, which Keys
+// never lists, until something removes the file.
+//
+// No path fsyncs: a published object survives a process crash, not a
+// power loss.
 func (f *FileTier) Write(ctx context.Context, key string, src []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -481,7 +505,7 @@ func (f *FileTier) Write(ctx context.Context, key string, src []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if err := f.publish(tmp.Name(), p); err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
@@ -489,12 +513,35 @@ func (f *FileTier) Write(ctx context.Context, key string, src []byte) error {
 	return nil
 }
 
+// errNoExchange reports that this kernel, filesystem or OS cannot swap
+// two directory entries atomically.
+var errNoExchange = errors.New("storage: rename exchange unsupported")
+
+// publish makes the finished temp file tmp the object at p: by exchange
+// over an existing object, by rename otherwise (see Write).
+func (f *FileTier) publish(tmp, p string) error {
+	if !f.noExchange.Load() {
+		switch err := exchange(tmp, p); {
+		case err == nil:
+			// tmp now names the replaced object's inode; a failed
+			// unlink only leaves it behind (see Write).
+			os.Remove(tmp)
+			return nil
+		case errors.Is(err, errNoExchange):
+			f.noExchange.Store(true)
+		case !errors.Is(err, fs.ErrNotExist): // ENOENT: a first write
+			return err
+		}
+	}
+	return os.Rename(tmp, p)
+}
+
 // Copy implements Copier with a hard link: the destination shares the
 // source's inode, so the copy is O(1) and survives later Writes of
-// either key (Write publishes a fresh inode via rename, leaving linked
-// snapshots untouched). Filesystems without link support fall back to a
-// byte copy on the storage device — still no round trip through the
-// engine's staging memory.
+// either key (Write publishes a fresh inode by exchange or rename,
+// leaving linked snapshots untouched). Filesystems without link support
+// fall back to a byte copy on the storage device — still no round trip
+// through the engine's staging memory.
 func (f *FileTier) Copy(ctx context.Context, srcKey, dstKey string) error {
 	if err := ctx.Err(); err != nil {
 		return err

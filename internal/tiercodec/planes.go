@@ -124,7 +124,7 @@ func joinPlanes(dst []byte, planes [][]byte, n int) {
 // into the scratch first, since its own body could overrun it.
 func encodePlanes(buf, src []byte, stride int) ([]byte, bool) {
 	n := len(src) / stride
-	if n == 0 || n > math.MaxUint32 {
+	if n == 0 || uint64(n) > math.MaxUint32 {
 		return buf, false
 	}
 	coded := codablePlanes(src, stride, n)
