@@ -1,8 +1,8 @@
 // Command simmatrix runs the scenario matrix: named simulation cells
-// sweeping regimes the paper never measured (bursty PFS bandwidth, mid-run
-// tier failure with a migration storm, codec on/off at 40B and 280B,
-// checkpoint storms, vectored-fetch economics). Each cell produces one
-// report under a distinct "simmatrix-<scenario>" benchmark name.
+// sweeping regimes the paper never measured (bursty PFS bandwidth, codec
+// on/off at 40B and 280B, checkpoint storms, vectored-fetch economics).
+// Each cell produces one report under a distinct "simmatrix-<scenario>"
+// benchmark name.
 //
 // Usage:
 //
@@ -104,7 +104,7 @@ func emit(w io.Writer, reps []*simrun.CellReport, asJSON bool) error {
 				rep.Benchmark, rep.Config.Model, rep.Config.Testbed,
 				rep.Config.Nodes, rep.Config.Iterations, rep.Config.Warmup),
 			"variant", "iter (s)", "update (s)", "Mparam/s", "read GB", "wire GB",
-			"hit rate", "fetch p95 (ms)", "migr", "ckpt ops")
+			"hit rate", "fetch p95 (ms)", "ckpt ops")
 		for _, r := range rep.Results {
 			t.AddRow(r.Variant,
 				fmt.Sprintf("%.3f", r.IterSec),
@@ -114,7 +114,6 @@ func emit(w io.Writer, reps []*simrun.CellReport, asJSON bool) error {
 				fmt.Sprintf("%.2f", r.WireReadGB),
 				fmt.Sprintf("%.2f", r.CacheHitRate),
 				fmt.Sprintf("%.3f", r.FetchP95MS),
-				fmt.Sprintf("%d", r.Migrations),
 				fmt.Sprintf("%d", r.CheckpointOps))
 		}
 		t.AddNote("speedup %.2fx (%s)", rep.Speedup, rep.SpeedupMetric)

@@ -6,8 +6,12 @@
 //
 // The second act demonstrates plan convergence: mid-run, the PFS slows to
 // a crawl (external load on the shared file system); adaptive placement
-// replans toward the NVMe and the live migrator moves the displaced
-// subgroups at Migration priority until reality matches the plan again.
+// replans toward the NVMe, and the next update phase's eviction writes —
+// which every phase makes anyway — carry the displaced subgroups there.
+// Nothing copies objects in the background, so a subgroup is off-plan only
+// between the replan that moved it and the next update phase, which
+// evicts it to its new tier; the program fails if one stays off-plan
+// through that phase, or if the plan does not shift toward the NVMe.
 package main
 
 import (
@@ -78,8 +82,8 @@ func trainNode(mode string) float64 {
 }
 
 // convergenceDemo trains one MLP-Offload worker, slows the PFS mid-run,
-// and traces how the placement plan and the live migrator converge the
-// subgroup layout onto the new bandwidth reality.
+// and traces how the placement plan shifts and the eviction writes
+// converge the subgroup layout onto it.
 func convergenceDemo() {
 	// Bursts below one subgroup object (1.8 MB here) so the *observed*
 	// per-transfer bandwidth tracks the configured rates and the
@@ -101,24 +105,41 @@ func convergenceDemo() {
 	defer eng.Close()
 
 	fmt.Println("\nplan convergence under a mid-run PFS slowdown (1 worker):")
-	fmt.Printf("%-5s %-22s %-11s %-11s\n", "iter", "plan", "misplaced", "migrations")
+	fmt.Println("a replan marks subgroups misplaced; the next update phase's evictions move them")
+	fmt.Printf("%-5s %-22s %-11s %-11s\n", "iter", "plan", "misplaced", "moves")
 	const slowdownAt = 3
+	nvmeBefore := eng.Plan().Counts[0]
 	for i := 0; i < 10; i++ {
 		if i == slowdownAt {
 			pfs.SetRates(10e6, 10e6) // external load: PFS drops to 1/10th
 			fmt.Println("      >>> pfs collapses to 10 MB/s <<<")
 		}
+		before := eng.Plan()
 		if _, err := eng.TrainIteration(i); err != nil {
 			log.Fatal(err)
 		}
-		eng.Drain() // quiesce migrations so the placement snapshot is stable
-		st := eng.MigrationStats()
-		fmt.Printf("%-5d %-22s %-11d %-11d\n",
-			i, eng.Plan().Ratio(), eng.MisplacedSubgroups(), st.Moves)
+		eng.Drain() // settle the iteration's flushes before reading placement
+		plan := eng.Plan()
+		misplaced := 0
+		for _, l := range eng.CheckpointLocations() {
+			sg := l.SubgroupID
+			if l.TierName == "host" || l.TierName == plan.Tiers[plan.TierFor(sg)].Name {
+				continue
+			}
+			misplaced++
+			// Off-plan is legitimate only if the replan that just ran moved
+			// it; otherwise the update phase failed to move it.
+			if before.TierFor(sg) == plan.TierFor(sg) {
+				log.Fatalf("iteration %d: subgroup %d stayed on %s through an update phase that should have moved it to %s",
+					i, sg, l.TierName, plan.Tiers[plan.TierFor(sg)].Name)
+			}
+		}
+		fmt.Printf("%-5d %-22s %-11d %-11d\n", i, plan.Ratio(), misplaced, eng.MigrationStats().Moves)
 	}
-	if eng.MisplacedSubgroups() == 0 {
-		fmt.Println("placement converged: every subgroup is on its planned tier")
+	if after := eng.Plan(); after.Counts[0] <= nvmeBefore {
+		log.Fatalf("plan did not shift toward nvme after the pfs slowdown: %s", after.Ratio())
 	}
+	fmt.Println("placement followed the plan: no subgroup stayed off-plan past the next update phase")
 }
 
 func main() {

@@ -26,7 +26,8 @@
 //	Prefetch     speculative read-ahead issued by the update issuer
 //	Flush        lazy eviction writes (durability needed by next phase)
 //	Checkpoint   snapshot/write/read streams of checkpointing
-//	Migration    background subgroup migration after a replan
+//	Migration    the lowest class; the engine submits nothing at it (kept
+//	             so per-class reports keep their schema)
 //
 // Strict priority alone would let a saturated high class starve the rest,
 // so the scheduler ages: any queued operation older than the aging
@@ -87,7 +88,7 @@ const (
 	Read OpKind = iota
 	// Write flushes the caller's buffer to the tier.
 	Write
-	// Delete removes an object (migration cleanup of stale source copies).
+	// Delete removes an object (reclaim of a stale copy on another tier).
 	Delete
 )
 
@@ -116,7 +117,10 @@ const (
 	Flush
 	// Checkpoint is checkpoint snapshot/write/read stream traffic.
 	Checkpoint
-	// Migration is background subgroup migration after a replan.
+	// Migration is the lowest class; nothing in the engine submits at it
+	// (a replan's moves are eviction writes, Flush). It stays so the
+	// per-class reports (Classes, bench/e2e's aio.migration.*) keep their
+	// schema.
 	Migration
 
 	// NumClasses is the number of priority classes.

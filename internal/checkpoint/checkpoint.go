@@ -18,8 +18,10 @@
 //
 // The Manifest is the checkpoint's commit record: it is serialized and
 // written to the checkpoint tier only after every data object (flushed and
-// snapshotted alike) is durable. A checkpoint without a landed manifest is
-// not a checkpoint — the Reader discovers checkpoints exclusively through
+// snapshotted alike) has landed — published, not fsynced: no tier path
+// syncs (storage.FileTier.Write), so a checkpoint survives a process
+// crash but not a power loss (ROADMAP item 9). A checkpoint without a
+// landed manifest is not a checkpoint — the Reader discovers checkpoints exclusively through
 // manifests, reads them back for the restore path (engine.Restore,
 // train.Node.Resume), verifies that every referenced object is still
 // present and intact, and prunes old checkpoints (manifest first) so
@@ -214,7 +216,8 @@ func (w *Writer) Write(ctx context.Context, step int, plan Plan, fetch Fetcher, 
 
 // WriteManifest serializes and synchronously writes the manifest — the
 // checkpoint's commit record. Callers must only invoke it after every data
-// object the manifest references is durable.
+// object the manifest references has landed (published, not fsynced; see
+// the package doc and ROADMAP item 9).
 func (w *Writer) WriteManifest(m Manifest) error {
 	data, err := json.Marshal(m)
 	if err != nil {

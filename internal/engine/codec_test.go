@@ -277,17 +277,18 @@ func TestCodecRestoreRejectsPresenceMismatch(t *testing.T) {
 	}
 }
 
-// TestCodecMidMigrationCheckpointRestore is the mid-migration variant of
-// the bit-identical guarantee with compression on: a bandwidth shift
-// queues migrations, a checkpoint drains them mid-convergence, and a
-// fresh codec-wrapped engine restored from it continues bit-identically
-// to an uninterrupted codec-less reference.
-func TestCodecMidMigrationCheckpointRestore(t *testing.T) {
+// TestCodecMidConvergenceCheckpointRestore is the mid-convergence variant
+// of the bit-identical guarantee with compression on: a bandwidth shift
+// replans the split, a checkpoint records the subgroups it displaced
+// still on their old tiers, and a fresh codec-wrapped engine restored
+// from it continues bit-identically to an uninterrupted codec-less
+// reference.
+func TestCodecMidConvergenceCheckpointRestore(t *testing.T) {
 	const (
-		params = 1000
+		params = 2000
 		sub    = 100
-		k      = 4
-		n      = 8
+		shift  = 3 // iterations before the PFS slows down
+		n      = 10
 	)
 	mk := func(tiers []TierSpec, spec tiercodec.Spec) Config {
 		cfg := MLPConfig(0, params, sub, withCodec(tiers, spec), nil)
@@ -302,30 +303,27 @@ func TestCodecMidMigrationCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainRange(t, ref, 0, k-1)
-	refPFS.SetRates(2e5, 2e5)
-	trainRange(t, ref, k-1, n)
+	trainRange(t, ref, 0, shift)
+	refPFS.SetRates(1e5, 1e5)
+	trainRange(t, ref, shift, n)
 	want := gather(t, ref)
 	ref.Close()
 
-	// Codec-wrapped interrupted run: shift bandwidth, let the replan
-	// queue migrations, checkpoint while they drain.
+	// Codec-wrapped interrupted run: slow the PFS, let a replan displace
+	// subgroups, checkpoint before evictions move them.
 	tiers, _, pfs := throttledPair(2e6, 1e6)
 	e1, err := New(mk(tiers, codecSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainRange(t, e1, 0, k-1)
-	pfs.SetRates(2e5, 2e5)
-	trainRange(t, e1, k-1, k)
+	trainRange(t, e1, 0, shift)
+	pfs.SetRates(1e5, 1e5)
+	k := trainUntilMisplaced(t, e1, shift, n-1)
 	ckptTier := storage.NewMemTier("ckpt")
 	w := checkpoint.NewWriter(ckptTier, "rank000")
 	defer w.Close()
 	if _, err := e1.Checkpoint(context.Background(), k, w); err != nil {
 		t.Fatal(err)
-	}
-	if st := e1.MigrationStats(); st.Err != nil {
-		t.Fatal(st.Err)
 	}
 	e1.Close()
 
@@ -339,7 +337,7 @@ func TestCodecMidMigrationCheckpointRestore(t *testing.T) {
 	got := gather(t, e2)
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("param %d diverged after codec mid-migration resume: %v != %v", i, got[i], want[i])
+			t.Fatalf("param %d diverged after codec mid-convergence resume: %v != %v", i, got[i], want[i])
 		}
 	}
 	placementConsistent(t, e2)

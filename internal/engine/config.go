@@ -99,9 +99,9 @@ type Config struct {
 	// concurrency control.
 	Locks *tierlock.Manager
 	// AdaptivePlacement re-plans the subgroup→tier split each iteration
-	// from observed bandwidths (EWMA) and runs the live migrator that moves
-	// offloaded subgroups to their newly planned tiers (see migrate.go);
-	// otherwise the nominal split is kept.
+	// from observed bandwidths (EWMA); the next update phase's eviction
+	// writes move the displaced subgroups to their new tiers. Otherwise
+	// the nominal split is kept.
 	AdaptivePlacement bool
 
 	// HostCacheSlots is the number of subgroups the host can keep resident

@@ -27,14 +27,8 @@ import (
 // locHost marks a subgroup whose FP32 state is resident in host memory.
 const locHost = -1
 
-const (
-	// ioWorkers is each tier's async I/O parallelism (aio.Config.Workers).
-	ioWorkers = 2
-	// migrators is the number of live-migration workers an adaptive
-	// engine runs, each staging one subgroup at a time through the
-	// migration pool — the bound on migration memory and concurrency.
-	migrators = 2
-)
+// ioWorkers is each tier's async I/O parallelism (aio.Config.Workers).
+const ioWorkers = 2
 
 // retryBackoff paces corrupt re-reads (awaitRead, Restore): the same
 // clock-driven exponential policy (internal/wire) the elastic transport
@@ -58,10 +52,11 @@ type Engine struct {
 
 	lru *hostcache.LRU
 	// loc is the *actual* backing location of each subgroup (locHost or a
-	// tier index) — reality, where plan is intent. The live migrator's job
-	// is to converge loc onto plan. Guarded by cacheMu wherever it can
-	// race the migrator; plain reads are safe only in code that runs with
-	// migrations quiesced (after drain) or for pinned subgroups.
+	// tier index) — reality, where plan is intent. An eviction writes to
+	// the plan's tier, so loc converges onto plan as the update phase
+	// flushes (MisplacedSubgroups). Guarded by cacheMu wherever it can
+	// race the update pipeline; plain reads are safe only in code that
+	// runs with the engine quiesced (after drain) or for pinned subgroups.
 	loc []int
 	// stat are the tiers as configured, below the engine's own codec
 	// wrapping: Size there is a metadata probe, where a codec tier must
@@ -69,15 +64,14 @@ type Engine struct {
 	stat []storage.Tier
 	// gradLoc is the tier each subgroup's FP32 gradient object was written
 	// to during the latest backward pass (-1 = none yet). Gradients are
-	// per-iteration transients, so they are never migrated; fetches read
-	// them from where backward put them even if the state object moved.
+	// per-iteration transients: fetches read them from where backward put
+	// them, whatever tier the state object is on.
 	gradLoc []int
 	// staleTier is the tier still holding a host-resident subgroup's
 	// now-stale state object from before its fetch (-1 = none). When the
 	// subgroup is later evicted to a *different* tier, the stale source is
-	// reclaimed — the same discipline the migrator follows, so an
-	// offloaded subgroup's object lives on exactly one tier. Guarded by
-	// cacheMu.
+	// reclaimed, so an offloaded subgroup's object lives on exactly one
+	// tier. Guarded by cacheMu.
 	staleTier []int
 
 	fetchPool *hostcache.BufferPool
@@ -117,43 +111,31 @@ type Engine struct {
 	ioBase []ioCounters
 
 	// One ordering rule per object. Every tier op on a subgroup's state
-	// key — fetch, eviction write, stale-tier delete, migration read,
-	// write and source delete — is submitted while the subgroup is held by
-	// exactly one party: pinned by the update pipeline (issuer to
-	// committer), or marked in held by the committer (a victim, until its
-	// eviction write and stale-tier delete are queued) or by the migrator
-	// (from claiming the subgroup until its source delete is queued).
-	// Restore runs with the engine quiesced, which holds everything.
+	// key — fetch, eviction write, stale-tier delete — is submitted while
+	// the subgroup is held by exactly one party: pinned by the update
+	// pipeline (issuer to committer), or marked in held by the committer
+	// (a victim, until its eviction write and stale-tier delete are
+	// queued). Restore runs with the engine quiesced, which holds
+	// everything.
 	// Holders take turns under cacheMu and submit in program order, and
 	// aio executes the ops on one key of one tier in submission order
 	// (package aio, "Same-key order") — so on every tier the object sees
 	// its ops in the order the holders took their turns, and nobody waits
 	// for an op to land merely to order the next one behind it. Waits
 	// remain only where data or an error is needed: a fetch before its
-	// update, a migration copy before loc flips, flushes at the phase
-	// barrier (pendingFlush, which surfaces write errors).
+	// update, flushes at the phase barrier (pendingFlush, which surfaces
+	// write errors).
 	//
 	// cacheMu serializes the compound residency transitions: {wait out a
-	// hold, pin, read loc} in the issuer, {set loc, unpin, touch, pick and
-	// hold victims} in the committer, and {check pin and hold, hold, flip
-	// loc} in the migrator. loc, lru, plan and held must change together
-	// or the issuer could classify a subgroup as a cache hit while the
-	// committer is evicting it (or fetch from a tier the migrator is
-	// abandoning). heldCond (on cacheMu) signals a hold's release.
+	// hold, pin, read loc} in the issuer and {set loc, unpin, touch, pick
+	// and hold victims} in the committer. loc, lru, plan and held must
+	// change together or the issuer could classify a subgroup as a cache
+	// hit while the committer is evicting it. heldCond (on cacheMu)
+	// signals a hold's release.
 	cacheMu  sync.Mutex
 	held     []bool
 	heldCond *sync.Cond
-	// Migration queue state (see migrate.go). migMu guards the queue and
-	// in-flight count; migCond signals enqueue/completion/close.
-	migMu       sync.Mutex
-	migCond     *sync.Cond
-	migQueued   map[int]bool
-	migOrder    []int
-	migInflight int
-	migClosed   bool
-	migWG       sync.WaitGroup
-	migPool     *hostcache.BufferPool
-	migStats    migStatsCell
+	migStats migStatsCell
 
 	series metrics.Series
 	closed bool
@@ -219,8 +201,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	e.shard = subgroup.NewShard(cfg.Rank, cfg.Params, cfg.SubgroupParams)
 	m := len(e.shard.Subgroups)
-	// Every submit, migration and reclaim names its object; format the
-	// names once.
+	// Every submit and reclaim names its object; format the names once.
 	e.keys = make([]string, m)
 	e.gradKeys = make([]string, m)
 	for i := range e.keys {
@@ -277,16 +258,7 @@ func newEngine(cfg Config) (*Engine, error) {
 	}
 	e.held = make([]bool, m)
 	e.heldCond = sync.NewCond(&e.cacheMu)
-	e.migQueued = make(map[int]bool)
 	e.migStats.orphans = make(map[string]struct{})
-	e.migCond = sync.NewCond(&e.migMu)
-	if cfg.AdaptivePlacement {
-		e.migPool = hostcache.NewBufferPool(migrators, stateBuf)
-		for i := 0; i < migrators; i++ {
-			e.migWG.Add(1)
-			go e.migrator()
-		}
-	}
 	e.params16 = make([]fp16.Bits, cfg.Params)
 	e.sgOffset = make([]int64, m)
 	e.grad32 = make([]float32, maxLen)
@@ -427,7 +399,7 @@ func (e *Engine) key(i int) string { return e.keys[i] }
 // gradKey returns the FP32-gradient object key for subgroup i (baseline).
 func (e *Engine) gradKey(i int) string { return e.gradKeys[i] }
 
-// release ends the committer's or the migrator's hold on a subgroup.
+// release ends the committer's hold on a subgroup.
 func (e *Engine) release(sg int) {
 	e.cacheMu.Lock()
 	e.held[sg] = false
@@ -452,6 +424,69 @@ func (e *Engine) reclaim(c aio.Class, tier int, key string) {
 			e.countOrphan(tier, key)
 		}
 	}()
+}
+
+// migStatsCell accumulates the counters MigrationStats reports.
+type migStatsCell struct {
+	mu      sync.Mutex
+	moves   int64
+	bytes   int64
+	orphans map[string]struct{} // "tier/key" of every stale object left behind
+}
+
+// MigrationStats is a snapshot of the engine's object-move counters.
+// Nothing copies objects between tiers in the background: a replan's
+// moves happen at the eviction writes every update phase makes anyway.
+type MigrationStats struct {
+	// Moves counts evictions that wrote a subgroup to a tier other than
+	// the one its pre-update object was fetched from — the moves replans
+	// cause; Bytes is their payload.
+	Moves int64
+	Bytes int64
+	// Abandoned is always 0: no move is ever started and then dropped.
+	// Its one reader is bench/e2e's engine.migrations_abandoned.
+	Abandoned int64
+	// Orphans counts the distinct stale objects left on a tier: state and
+	// gradient objects whose reclaiming delete failed, and live-key copies
+	// a drain found on a tier other than the subgroup's own.
+	Orphans int64
+}
+
+// MigrationStats returns a snapshot of the move and orphan counters.
+func (e *Engine) MigrationStats() MigrationStats {
+	e.migStats.mu.Lock()
+	defer e.migStats.mu.Unlock()
+	return MigrationStats{
+		Moves:   e.migStats.moves,
+		Bytes:   e.migStats.bytes,
+		Orphans: int64(len(e.migStats.orphans)),
+	}
+}
+
+// MisplacedSubgroups reports how many offloaded subgroups currently
+// reside on a tier other than the one the plan assigns. Evictions write
+// to the plan's tier, so at an iteration boundary these are the
+// subgroups whose tier the last replan changed; the next update phase's
+// evictions move them.
+func (e *Engine) MisplacedSubgroups() int {
+	e.cacheMu.Lock()
+	defer e.cacheMu.Unlock()
+	n := 0
+	for sg, l := range e.loc {
+		if l != locHost && l != e.plan.TierFor(sg) {
+			n++
+		}
+	}
+	return n
+}
+
+// countOrphan records a stale object left on a tier. The same object
+// reported twice — its delete failed, then a drain found it — is one
+// orphan.
+func (e *Engine) countOrphan(tier int, key string) {
+	e.migStats.mu.Lock()
+	e.migStats.orphans[e.names[tier]+"/"+key] = struct{}{}
+	e.migStats.mu.Unlock()
 }
 
 // IntegrityRetries reports how many update-phase fetches were re-read
@@ -591,10 +626,9 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 			gbuf := e.gradPool.Get()
 			wide := gbuf[:4*n]
 			encodeF32(wide, g32)
-			// loc can be flipped concurrently by the live migrator; the
-			// gradient co-locates with wherever the state is *now*, and
-			// gradLoc records that so the update-phase fetch follows the
-			// gradient even if the state object migrates again before it.
+			// The gradient goes beside the state's current object, and
+			// gradLoc records where, so the update-phase fetch reads it
+			// from there.
 			e.cacheMu.Lock()
 			tier := e.loc[i]
 			if tier == locHost {
@@ -608,8 +642,8 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 			}
 			if old := e.gradLoc[i]; old >= 0 && old != tier {
 				// The previous iteration's gradient object lives on another
-				// tier (the state migrated since): reclaim it so migration
-				// churn cannot accumulate orphaned grad objects.
+				// tier (the state moved since): reclaim it so replans
+				// cannot accumulate orphaned grad objects.
 				e.reclaim(aio.Flush, old, e.gradKey(i))
 			}
 			e.gradLoc[i] = tier
@@ -673,8 +707,8 @@ type ioCounters struct {
 }
 
 // foldIO adds to it every op the engine's aio engines completed since the
-// previous fold — fetches, flushes, gradient writes, migrations,
-// checkpoint traffic and deletes alike — and makes now the next fold's
+// previous fold — fetches, flushes, gradient writes, checkpoint
+// traffic and deletes alike — and makes now the next fold's
 // zero point. It is the only writer of an Iteration's byte, time and
 // ClassIO fields (see metrics.Iteration for the definition). An op still
 // in flight lands in a later fold, so per-iteration values shift at the
@@ -724,9 +758,8 @@ func (e *Engine) observe(tier int, op *aio.Op) {
 	}
 }
 
-// tierBytes reports where the optimizer state lives right now. The
-// migrator may be flipping loc concurrently, so the snapshot is taken
-// under cacheMu.
+// tierBytes reports where the optimizer state lives right now, from a
+// snapshot of loc taken under cacheMu.
 func (e *Engine) tierBytes() map[string]float64 {
 	out := make(map[string]float64, len(e.names)+1)
 	e.cacheMu.Lock()
@@ -793,14 +826,9 @@ func (e *Engine) drain() error {
 }
 
 // quiesce waits for all outstanding asynchronous work and reports the
-// first failure it absorbed. It also quiesces the live migrator: every
-// queued migration completes (or is abandoned) before it returns, so
-// callers see a stable loc[] and no in-flight cross-tier copies.
-// Migration failures do not fail it — the source object stays
-// authoritative and the next replan retries. Reclamation deletes are
-// settled on return too: their completion goroutines ride flushWG.
+// first failure it absorbed. Reclamation deletes are settled on return
+// too: their completion goroutines ride flushWG.
 func (e *Engine) quiesce() error {
-	e.drainMigrations()
 	err := e.settleWrites()
 	e.flushWG.Wait()
 	return err
@@ -872,7 +900,6 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	e.Drain()
-	e.stopMigrators()
 	for _, a := range e.aios {
 		a.Close()
 	}

@@ -86,9 +86,9 @@ func (e *Engine) GradNorm() float64 {
 // CheckpointLocations classifies every subgroup's current placement for
 // checkpoint planning: subgroups already resident on a persistent tier are
 // pre-staged and need no cross-tier checkpoint I/O (§3.3). Callers must
-// have drained the engine (Engine.Checkpoint does), which also quiesces
-// the live migrator — the manifest then records the exact, possibly
-// mid-convergence, placement and Restore reproduces training
+// have drained the engine (Engine.Checkpoint does): the manifest then
+// records the exact placement, including subgroups a replan displaced
+// that no eviction has moved yet, and Restore reproduces training
 // bit-identically from it.
 func (e *Engine) CheckpointLocations() []checkpoint.Location {
 	e.cacheMu.Lock()

@@ -152,18 +152,17 @@ func (e *Engine) updatePhase(it *metrics.Iteration) error {
 	e.phase++
 	it.ParamsUpdated += e.shard.Params()
 
-	// Adaptive replanning from observed bandwidths (§3.3), then live
-	// migration of every offloaded subgroup the new plan displaced — the
-	// migrator converges reality onto the plan in the background instead
-	// of waiting for eviction traffic to happen to pass by. Replan moves
-	// only the surplus of the tiers whose share shrank.
+	// Adaptive replanning from observed bandwidths (§3.3). Replan moves
+	// only the surplus of the tiers whose share shrank, and nothing copies
+	// the displaced subgroups: every offloaded subgroup is fetched by the
+	// next update phase, and its eviction writes it to the new plan's
+	// tier and reclaims the old copy (flushEvicted).
 	if e.cfg.AdaptivePlacement {
 		// The update phase is e.plan's only writer, so it reads it unlocked.
 		newPlan := placement.Replan(e.plan, e.bandwidths())
 		e.cacheMu.Lock()
 		e.plan = newPlan
 		e.cacheMu.Unlock()
-		e.scheduleMigrations()
 	}
 	return nil
 }
@@ -216,12 +215,10 @@ func (e *Engine) issueItems(run *phaseRun, order []int, window chan struct{}, wo
 		window <- struct{}{} // released by the committer
 		item := &updateItem{sgID: sgID, done: make(chan struct{})}
 		e.cacheMu.Lock()
-		// Wait out a hold: a migrator moving the object between tiers, or
-		// the committer still queueing this subgroup's eviction. Once it
-		// is released loc names the object's real home and every op the
-		// holder submitted is ahead of our fetch on that tier. The
-		// migrator skips pinned subgroups, so once we pin below no new
-		// migration can start under this fetch.
+		// Wait out a hold: the committer still queueing this subgroup's
+		// eviction. Once it is released loc names the object's real home
+		// and every op the holder submitted is ahead of our fetch on that
+		// tier.
 		for e.held[sgID] {
 			e.heldCond.Wait()
 		}
@@ -312,7 +309,7 @@ func (e *Engine) issueFetch(item *updateItem, tier int) error {
 	// Issued as Prefetch: the issuer runs ahead of the workers, so at
 	// submission time this is speculative read-ahead. The worker that
 	// blocks on it promotes it to DemandFetch (processItem), which is what
-	// keeps the critical path ahead of flush/checkpoint/migration traffic
+	// keeps the critical path ahead of flush and checkpoint traffic
 	// without starving them.
 	op, err := e.aios[tier].SubmitReadClass(aio.Prefetch, e.key(sgID), buf[:size])
 	if err != nil {
@@ -322,8 +319,7 @@ func (e *Engine) issueFetch(item *updateItem, tier int) error {
 	}
 	pf := &pendingFetch{stateOp: op, stateBuf: buf, tier: tier}
 	if !e.cfg.SkipGradFlush {
-		// Gradients live where backward flushed them (gradLoc), which can
-		// differ from the state's tier once a migration has run.
+		// Gradients live where backward flushed them (gradLoc).
 		gtier := e.gradLoc[sgID]
 		if gtier < 0 {
 			gtier = tier
@@ -450,7 +446,7 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 	var gradBacking []byte // pooled buffer Grads32 aliases, if any
 	if pf := item.pf; pf != nil {
 		// This worker is now blocked on the fetch: it stops being
-		// speculative. Promote it past flush/checkpoint/migration traffic
+		// speculative. Promote it past flush and checkpoint traffic
 		// (a no-op if it already started executing).
 		e.aios[pf.tier].Promote(pf.stateOp, aio.DemandFetch)
 		size := subgroup.StateBytes(sg.Len())
@@ -664,7 +660,12 @@ func (e *Engine) flushEvicted(v int, stale int) error {
 	sg.State = nil
 	sg.Backing = nil
 	if stale >= 0 && stale != tier {
+		// A replan moved the subgroup: this write is the move.
 		e.reclaim(aio.Flush, stale, e.key(v))
+		e.migStats.mu.Lock()
+		e.migStats.moves++
+		e.migStats.bytes += int64(n)
+		e.migStats.mu.Unlock()
 	}
 	putBuf := func() {
 		if aliased {

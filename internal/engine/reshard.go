@@ -14,9 +14,8 @@ import (
 // rank's manifest on the shared checkpoint tier. Construction skips New's
 // initial offload: Restore writes every offloaded subgroup's live key
 // anyway, so each object is written once, not twice. The adopted shard's
-// subgroups land on the adopter's tiers under the *current* placement
-// plan; the background live-migration machinery converges them to the
-// planned tiers as training resumes.
+// subgroups land on the adopter's tiers under its *current* placement
+// plan, so they start where that plan puts them.
 //
 // cfg must describe the dead rank's geometry and numerics exactly
 // (Restore enforces both); the tier *handles* are the adopter's own.

@@ -10,14 +10,14 @@ import (
 
 // TestConvergenceStress runs the two-tier convergence scenario many times
 // at once, cycling the update-worker count and the host-cache size, so
-// evictions, stale-tier deletes and live migrations of one subgroup meet
-// under a loaded scheduler. An object-ordering bug shows as a fetch or
+// fetches, evictions and stale-tier deletes of one subgroup meet under a
+// loaded scheduler. An object-ordering bug shows as a fetch or
 // GatherParams failing with "key not found" — an offloaded subgroup's
 // only copy was deleted — which at one run in twenty is invisible to a
 // single convergence test and likely over a hundred. The schedule that
-// exposes one is a migrator or committer descheduled between two of its
-// steps, so the test oversubscribes the CPUs: on a 2-CPU box the bug this
-// was written for failed 5% of invocations at GOMAXPROCS=2 and 62% at 8.
+// exposes one is a holder descheduled between two of its steps, so the
+// test oversubscribes the CPUs: on a 2-CPU box the bug this was written
+// for failed 5% of invocations at GOMAXPROCS=2 and 62% at 8.
 func TestConvergenceStress(t *testing.T) {
 	if prev := runtime.GOMAXPROCS(0); prev < 8 {
 		runtime.GOMAXPROCS(8)

@@ -15,7 +15,7 @@ import (
 // of its bandwidth to external jobs mid-run. Static placement keeps
 // sending the microbenchmark-determined share of subgroups to the now-slow
 // path; adaptive placement re-fits Eq. 1 from EWMA-observed bandwidths and
-// migrates load to the NVMe.
+// its eviction flushes move load to the NVMe.
 func ExtAdaptive(o Options) (string, error) {
 	o = o.normalize()
 	if o.Iterations < 8 {
@@ -95,13 +95,13 @@ func ExtSubgroup(o Options) (string, error) {
 }
 
 // ExtMatrix renders the scenario matrix (internal/simrun, cmd/simmatrix):
-// the beyond-the-paper regimes — bursty PFS bandwidth, a mid-run tier
-// failure with its migration storm, the tier codec at 40B and 280B,
-// co-tenant checkpoint storms, and vectored-fetch economics — as one
-// table per cell, matching the reports CI tracks under simmatrix-* names.
+// the beyond-the-paper regimes — bursty PFS bandwidth, the tier codec at
+// 40B and 280B, co-tenant checkpoint storms, and vectored-fetch economics
+// — as one table per cell, matching the reports CI tracks under
+// simmatrix-* names.
 func ExtMatrix(o Options) (string, error) {
 	o = o.normalize()
-	// Mid-run events (PFS pressure, tier failure) land around iteration 2
+	// Mid-run events (PFS pressure) land around iteration 2
 	// and need post-replan iterations to show their mechanism — same
 	// floor as ExtAdaptive.
 	if o.Iterations < 8 {
@@ -120,7 +120,7 @@ func ExtMatrix(o Options) (string, error) {
 			fmt.Sprintf("Extension matrix %s: %s on %s, %d node(s)",
 				rep.Config.Scenario, rep.Config.Model, rep.Config.Testbed, rep.Config.Nodes),
 			"variant", "iter (s)", "update (s)", "read GB", "wire GB",
-			"fetch p95 (ms)", "migrations", "ckpt ops")
+			"fetch p95 (ms)", "ckpt ops")
 		for _, r := range rep.Results {
 			t.AddRow(r.Variant,
 				fmt.Sprintf("%.3f", r.IterSec),
@@ -128,7 +128,6 @@ func ExtMatrix(o Options) (string, error) {
 				fmt.Sprintf("%.2f", r.ReadGB),
 				fmt.Sprintf("%.2f", r.WireReadGB),
 				fmt.Sprintf("%.3f", r.FetchP95MS),
-				fmt.Sprintf("%d", r.Migrations),
 				fmt.Sprintf("%d", r.CheckpointOps))
 		}
 		t.AddNote("speedup %.2fx (%s)", rep.Speedup, rep.SpeedupMetric)

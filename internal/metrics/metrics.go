@@ -41,7 +41,7 @@ type Iteration struct {
 	// I/O is every storage-tier operation the engine's aio engines
 	// completed since the previous iteration's fold, in all priority
 	// classes: fetches, eviction flushes, the baseline's gradient writes
-	// and reads, migrations, checkpoint staging and deletes. Traffic
+	// and reads, checkpoint staging and deletes. Traffic
 	// between iterations (a checkpoint, say) lands in the next iteration,
 	// an op still in flight at the fold in a later one; a series total is
 	// exact. Construction and restore traffic is in no iteration, and D2H

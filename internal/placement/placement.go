@@ -245,9 +245,8 @@ func (p Plan) Ratio() string {
 // Reads and writes are tracked separately: the Eq. 1 placement input is
 // min(read, write), and a single blended EWMA would let a burst of fast
 // reads mask a slow write path (or vice versa) on write-asymmetric tiers.
-// Fetches feed ObserveRead, eviction flushes and migration writes feed
-// ObserveWrite, and Bandwidths folds the two back into the min the
-// planner consumes.
+// Fetches feed ObserveRead, eviction flushes feed ObserveWrite, and
+// Bandwidths folds the two back into the min the planner consumes.
 type Estimator struct {
 	mu      sync.Mutex
 	alpha   float64

@@ -2,10 +2,10 @@
 // tier operation is submitted to a des.Sched per (tier, GPU worker) — the
 // analogue of the aio engine object the runtime instantiates per storage
 // path per process. What an Approach turns on decides the rest: the
-// I/O-worker bound, class-based priority with aging, background live
-// migration after replans, codec wire-vs-raw accounting and vectored fetch
-// coalescing; the Config adds per-op submission overhead, co-tenant
-// checkpoint storms and mid-run bandwidth slowdowns.
+// I/O-worker bound, class-based priority with aging, codec wire-vs-raw
+// accounting and vectored fetch coalescing; the Config adds per-op
+// submission overhead, co-tenant checkpoint storms and mid-run bandwidth
+// slowdowns.
 package simrun
 
 import (
@@ -67,16 +67,14 @@ type pipeline struct {
 	clients   int
 	stormStop bool
 
-	trace      []SubgroupIO
-	fetchLat   []float64
-	ckptLat    []float64
-	ckptOps    int64
-	migrations int64
-	migBytes   float64
-	traceLog   []string
+	trace    []SubgroupIO
+	fetchLat []float64
+	ckptLat  []float64
+	ckptOps  int64
+	traceLog []string
 }
 
-// release drops one pipeline client (worker, storm job, migrator); the
+// release drops one pipeline client (worker, storm job); the
 // last one out closes every scheduler so idle service procs exit.
 func (r *pipeline) release() {
 	r.clients--
@@ -163,7 +161,7 @@ func (r *pipeline) submitFlush(w int, t *tier, name string, raw float64, it *met
 // pendingFetch tracks one subgroup's in-flight fetch for the update loop.
 type pendingFetch struct {
 	ev    *des.Event
-	op    *des.SchedOp // nil while gated on a migration
+	op    *des.SchedOp
 	sched *des.Sched
 }
 
@@ -213,19 +211,12 @@ func (r *pipeline) submitFetchBatch(w, ti int, batch []int, it *metrics.Iteratio
 	})
 }
 
-// workerState is one GPU worker's residency and migration bookkeeping.
+// workerState is one GPU worker's residency bookkeeping.
 type workerState struct {
-	lru       *hostcache.LRU
-	loc       []int // -1 = host, else tier index
-	phase     int
-	migrating map[int]*des.Event
-	migQueue  []int
-	migActive int
+	lru   *hostcache.LRU
+	loc   []int // -1 = host, else tier index
+	phase int
 }
-
-// migrationWindow bounds concurrent background copies per worker (the
-// engine's default).
-const migrationWindow = 2
 
 // Run simulates one node of the configured system (nodes are symmetric;
 // inter-node collective cost is added to the backward pass) and returns
@@ -384,7 +375,7 @@ func Run(cfg Config) (*Result, error) {
 
 	workers := make([]*workerState, W)
 	for w := range workers {
-		ws := &workerState{lru: hostcache.NewLRU(slots), loc: make([]int, M), migrating: make(map[int]*des.Event)}
+		ws := &workerState{lru: hostcache.NewLRU(slots), loc: make([]int, M)}
 		for i := range ws.loc {
 			if cfg.CPUOnly {
 				ws.loc[i] = -1
@@ -405,50 +396,6 @@ func Run(cfg Config) (*Result, error) {
 	const fp16Bytes = 2.0
 	d2h := tb.GPU.D2HBandwidth
 	conv := tb.CPUConvertBytesPerSec
-
-	// kickMigration drains a worker's misplaced subgroups toward the plan
-	// in the background: up to migrationWindow concurrent copies at
-	// Migration class, each a read from the stale tier plus a write to the
-	// planned one (the engine's migrator loop).
-	kickMigration := func(w int, ws *workerState) {
-		for sg := 0; sg < M; sg++ {
-			if ws.loc[sg] >= 0 && ws.loc[sg] != r.plan.TierFor(sg) && ws.migrating[sg] == nil {
-				ws.migQueue = append(ws.migQueue, sg)
-				ws.migrating[sg] = sim.NewEvent()
-			}
-		}
-		for ws.migActive < migrationWindow && len(ws.migQueue) > 0 {
-			ws.migActive++
-			r.clients++
-			sim.Spawn(fmt.Sprintf("w%d.migrator%d", w, ws.migActive), func(p *des.Proc) {
-				for len(ws.migQueue) > 0 {
-					sg := ws.migQueue[0]
-					ws.migQueue = ws.migQueue[1:]
-					ev := ws.migrating[sg]
-					src, dst := ws.loc[sg], r.plan.TierFor(sg)
-					if src < 0 || src == dst {
-						delete(ws.migrating, sg)
-						ev.Fire()
-						continue
-					}
-					raw := float64(r.sgParams[sg]) * 12
-					rd := r.tiers[src].scheds[w].Submit(r.classOf(aio.Migration),
-						fmt.Sprintf("w%d.mig%d.r", w, sg), raw, r.readExec(r.tiers[src], raw, r.wire(raw)))
-					rd.Wait(p)
-					wr := r.tiers[dst].scheds[w].Submit(r.classOf(aio.Migration),
-						fmt.Sprintf("w%d.mig%d.w", w, sg), raw, r.writeExec(r.tiers[dst], raw, r.wire(raw)))
-					wr.Wait(p)
-					ws.loc[sg] = dst
-					r.migrations++
-					r.migBytes += raw
-					delete(ws.migrating, sg)
-					ev.Fire()
-				}
-				ws.migActive--
-				r.release()
-			})
-		}
-	}
 
 	r.clients = W
 	for w := 0; w < W; w++ {
@@ -529,28 +476,6 @@ func Run(cfg Config) (*Result, error) {
 						if cfg.CPUOnly || ws.loc[sgID] == -1 {
 							continue
 						}
-						if mig := ws.migrating[sgID]; mig != nil {
-							// Gated on a background copy: a waiter proc
-							// fetches from the post-migration location.
-							inflight++
-							pf := &pendingFetch{ev: sim.NewEvent()}
-							fetches[sgID] = pf
-							sg := sgID
-							since := sim.Now()
-							sim.Spawn(fmt.Sprintf("w%d.migwait%d", w, sg), func(mp *des.Proc) {
-								mig.Wait(mp)
-								if ws.loc[sg] == -1 {
-									pf.ev.Fire()
-									return
-								}
-								op, raw := r.fetch(w, ws.loc[sg], []int{sg})
-								pf.op, pf.sched = op, r.tiers[ws.loc[sg]].scheds[w]
-								op.Wait(mp)
-								r.fetched(mp, op, raw, since, it, tracePos(sg))
-								pf.ev.Fire()
-							})
-							continue
-						}
 						ti := ws.loc[sgID]
 						batch := []int{sgID}
 						// Vectored gather: fill the batch with same-tier
@@ -563,7 +488,7 @@ func Run(cfg Config) (*Result, error) {
 						// (outstanding objects <= depth+coalesce-1).
 						for i := 0; i < len(pending) && i < prefetchDepth && len(batch) < coalesce; {
 							next := pending[i]
-							if ws.loc[next] == ti && ws.migrating[next] == nil {
+							if ws.loc[next] == ti {
 								batch = append(batch, next)
 								pending = append(pending[:i], pending[i+1:]...)
 							} else {
@@ -578,7 +503,7 @@ func Run(cfg Config) (*Result, error) {
 				for _, sgID := range order {
 					n := float64(r.sgParams[sgID])
 					if pf, ok := fetches[sgID]; ok {
-						if !pf.ev.Fired() && pf.op != nil {
+						if !pf.ev.Fired() {
 							// The consumer is blocked on it right now:
 							// promote prefetch → demand fetch (aio's
 							// promotion path).
@@ -627,18 +552,13 @@ func Run(cfg Config) (*Result, error) {
 				if w == 0 {
 					stamps[iter].updEnd = p.Now()
 					// Re-fit the placement (Eq. 1) from observed
-					// bandwidths; subsequent flushes migrate subgroups
-					// toward the faster paths.
+					// bandwidths; the next phase's eviction flushes move
+					// the displaced subgroups toward the faster paths.
 					if ap.AdaptivePlacement && len(r.tiers) > 1 {
 						r.plan = placement.Replan(r.plan, r.est.Bandwidths(tierNames, 1))
 					}
 				}
 				barrier.Await(p) // replanning visible to all before next iteration
-				// Background convergence toward the fresh plan; skipped
-				// after the final iteration (nothing left to serve).
-				if ap.LiveMigration && len(r.tiers) > 1 && iter < cfg.Iterations-1 {
-					kickMigration(w, ws)
-				}
 			}
 			if w == 0 {
 				r.stormStop = true
@@ -738,8 +658,6 @@ func Run(cfg Config) (*Result, error) {
 			res.Classes[name] = cs
 		}
 	}
-	res.Migrations = r.migrations
-	res.MigratedBytes = r.migBytes
 	res.FetchP50 = des.Percentile(r.fetchLat, 50)
 	res.FetchP95 = des.Percentile(r.fetchLat, 95)
 	res.CheckpointOps = r.ckptOps

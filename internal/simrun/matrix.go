@@ -1,8 +1,7 @@
 // The scenario matrix: named simulation cells sweeping regimes the paper
-// never measured — bursty tier bandwidth, mid-run tier failure with a
-// migration storm, codec on/off at 40B and 280B, checkpoint storms from
-// hundreds of co-tenant jobs, and vectored-fetch economics in a
-// small-object regime. Each cell emits one report under a distinct
+// never measured — bursty tier bandwidth, codec on/off at 40B and 280B,
+// checkpoint storms from hundreds of co-tenant jobs, and vectored-fetch
+// economics in a small-object regime. Each cell emits one report under a distinct
 // "simmatrix-<scenario>" benchmark name.
 package simrun
 
@@ -54,7 +53,6 @@ type CellResult struct {
 	CacheHitRate     float64 `json:"cache_hit_rate"`
 	FetchP50MS       float64 `json:"fetch_p50_ms"`
 	FetchP95MS       float64 `json:"fetch_p95_ms"`
-	Migrations       int64   `json:"migrations"`
 	MisplacedEnd     int     `json:"misplaced_end"`
 	CheckpointOps    int64   `json:"checkpoint_ops"`
 	CheckpointP95S   float64 `json:"checkpoint_p95_sec"`
@@ -103,7 +101,6 @@ func cellResult(variant string, res *Result) CellResult {
 		WireWriteGB:    m.WireBytesWritten / 1e9,
 		FetchP50MS:     res.FetchP50 * 1e3,
 		FetchP95MS:     res.FetchP95 * 1e3,
-		Migrations:     res.Migrations,
 		MisplacedEnd:   res.MisplacedEnd,
 		CheckpointOps:  res.CheckpointOps,
 		CheckpointP95S: res.CheckpointP95,
@@ -162,7 +159,7 @@ func Scenarios() []Scenario {
 	return []Scenario{
 		{
 			Name:  "baseline-40b",
-			Title: "40B on Testbed-1: DeepSpeed baseline vs MLP-Offload vs the engine's I/O workers, priority, migration and coalescing",
+			Title: "40B on Testbed-1: DeepSpeed baseline vs MLP-Offload vs the engine's I/O workers, priority and coalescing",
 			run: func(opts MatrixOptions) (*CellReport, error) {
 				iters, warm := sized(opts, 6, 1)
 				m, err := model.ByName("40B")
@@ -192,7 +189,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name:  "bursty-pfs-40b",
-			Title: "PFS bandwidth drops to 30% mid-run: static plan vs adaptive replanning + live migration",
+			Title: "PFS bandwidth drops to 30% mid-run: static plan vs adaptive replanning",
 			run: func(opts MatrixOptions) (*CellReport, error) {
 				iters, warm := sized(opts, 8, 1)
 				m, err := model.ByName("40B")
@@ -202,51 +199,17 @@ func Scenarios() []Scenario {
 				static := EngineTrue()
 				static.Name = "static-plan"
 				static.AdaptivePlacement = false
-				static.LiveMigration = false
 				adaptive := EngineTrue()
-				adaptive.Name = "adaptive+migration"
+				adaptive.Name = "adaptive-plan"
 				rep := &CellReport{
 					Config:        CellConfig{Model: "40B", Testbed: "Testbed-1", Nodes: 1, Iterations: iters, Warmup: warm, SubgroupParams: 100e6, Calibrated: !opts.Calibration.IsZero()},
-					SpeedupMetric: "iter_sec(static-plan / adaptive+migration)",
+					SpeedupMetric: "iter_sec(static-plan / adaptive-plan)",
 				}
 				for _, ap := range []Approach{static, adaptive} {
 					res, err := Run(Config{
 						Testbed: cluster.Testbed1(), Model: m, Approach: ap,
 						Iterations: iters, Warmup: warm,
 						SlowdownFactor: 0.3, SlowdownTier: 1, SlowdownAt: min(2, iters-1),
-					})
-					if err != nil {
-						return nil, err
-					}
-					rep.Results = append(rep.Results, cellResult(ap.Name, res))
-				}
-				rep.Speedup = rep.Results[0].IterSec / rep.Results[1].IterSec
-				return rep, nil
-			},
-		},
-		{
-			Name:  "tier-failure-40b",
-			Title: "NVMe collapses to 15% mid-run: replan only vs replan + migration storm",
-			run: func(opts MatrixOptions) (*CellReport, error) {
-				iters, warm := sized(opts, 8, 1)
-				m, err := model.ByName("40B")
-				if err != nil {
-					return nil, err
-				}
-				nomig := EngineTrue()
-				nomig.Name = "replan-only"
-				nomig.LiveMigration = false
-				mig := EngineTrue()
-				mig.Name = "replan+migration"
-				rep := &CellReport{
-					Config:        CellConfig{Model: "40B", Testbed: "Testbed-1", Nodes: 1, Iterations: iters, Warmup: warm, SubgroupParams: 100e6, Calibrated: !opts.Calibration.IsZero()},
-					SpeedupMetric: "iter_sec(replan-only / replan+migration)",
-				}
-				for _, ap := range []Approach{nomig, mig} {
-					res, err := Run(Config{
-						Testbed: cluster.Testbed1(), Model: m, Approach: ap,
-						Iterations: iters, Warmup: warm,
-						SlowdownFactor: 0.15, SlowdownTier: 0, SlowdownAt: min(2, iters-1),
 					})
 					if err != nil {
 						return nil, err
@@ -333,7 +296,7 @@ func Scenarios() []Scenario {
 				// depth bounded), so per-op cost serializes instead of
 				// hiding in device sharing, with the cache sized to the
 				// working set: the measurement is the refill itself (restart /
-				// post-migration repopulation), before the steady-state
+				// post-replan repopulation), before the steady-state
 				// flush stream takes over the critical path.
 				mdl := model.Config{Name: "micro-1M", NominalParams: 1 << 20}
 				tb := cluster.Testbed1()

@@ -7,8 +7,8 @@
 // There is one pipeline (engine_model.go). Every tier operation goes
 // through a des.Sched per (tier, GPU worker), the analogue of the aio
 // engine object; an Approach only chooses what that model switches on —
-// the I/O-worker bound, class priority, live migration, the codec and
-// fetch coalescing — so the paper's two runtimes, its ablation rungs and
+// the I/O-worker bound, class priority, the codec and fetch coalescing —
+// so the paper's two runtimes, its ablation rungs and
 // the post-paper engine are points of one model.
 //
 // The hardware model comes from cluster.Testbed (Table 1): per-direction
@@ -57,11 +57,6 @@ type Approach struct {
 	// false, ops run through a single-class FIFO — the contrast the
 	// checkpoint-storm scenario measures.
 	PriorityIO bool
-	// LiveMigration moves misplaced offloaded subgroups toward the plan in
-	// the background after each replan (PR 3), up to two concurrent copies
-	// per worker as the engine does, instead of waiting for natural
-	// eviction traffic to converge.
-	LiveMigration bool
 	// CoalesceFetches batches up to this many adjacent same-tier fetches
 	// into one vectored scheduler op (PR 8), paying the per-op overhead
 	// once. <2 disables.
@@ -75,15 +70,14 @@ type Approach struct {
 	CodecDecBW float64
 }
 
-// EngineTrue returns the approach matching the engine as PRs 1-8 left it:
-// all paper principles plus the aio worker pool, priority scheduling, live
-// migration, and fetch coalescing.
+// EngineTrue returns the approach matching the engine: all paper
+// principles plus the aio worker pool, priority scheduling and fetch
+// coalescing.
 func EngineTrue() Approach {
 	a := MLPOffload()
 	a.Name = "MLP-Offload (engine)"
 	a.IOWorkers = 2
 	a.PriorityIO = true
-	a.LiveMigration = true
 	a.CoalesceFetches = 4
 	return a
 }
@@ -153,9 +147,9 @@ type Config struct {
 	// SlowdownTier (0 = NVMe, 1 = PFS) to that fraction from the start of
 	// iteration SlowdownAt on: external batch jobs pressuring the shared
 	// PFS (the fluctuation scenario of §3.3 and the paper's future-work
-	// discussion), or a device failing mid-run. With AdaptivePlacement +
-	// LiveMigration the replan triggers a migration storm toward the
-	// surviving paths.
+	// discussion), or a device failing mid-run. With AdaptivePlacement the
+	// replan shifts the split toward the surviving paths, and the next
+	// update phase's evictions move the displaced subgroups.
 	SlowdownFactor float64
 	SlowdownTier   int
 	SlowdownAt     int
@@ -250,8 +244,6 @@ type Result struct {
 	// Classes is keyed by scheduler class: the aio class names with
 	// PriorityIO, else the single "fifo".
 	Classes       map[string]ClassStat
-	Migrations    int64   // background copies completed
-	MigratedBytes float64 //
 	MisplacedEnd  int     // offloaded subgroups off-plan at end of run
 	FetchP50      float64 // perceived update-fetch latency percentiles, s
 	FetchP95      float64

@@ -669,7 +669,7 @@ func (t *Throttled) Name() string { return t.inner.Name() }
 // SetRates changes the emulated read/write bandwidths mid-run (both must
 // be positive), preserving accumulated tokens. This is how experiments
 // simulate a tier slowing down under external load — e.g. to watch
-// adaptive placement replan and the live migrator converge onto the new
+// adaptive placement replan and the eviction writes converge onto the new
 // plan.
 func (t *Throttled) SetRates(readBW, writeBW float64) {
 	if readBW <= 0 || writeBW <= 0 {

@@ -3,9 +3,9 @@
 // optionally compressed, optionally integrity-protected — and decoded
 // back on read, so the layers above keep operating on raw subgroup
 // objects while the device moves fewer, checksummed bytes. The engine is
-// bandwidth-bound on exactly those transfers (fetch, flush, checkpoint,
-// migration), so shrinking bytes-on-the-wire multiplies effective tier
-// bandwidth across every path at once.
+// bandwidth-bound on exactly those transfers (fetch, flush, checkpoint),
+// so shrinking bytes-on-the-wire multiplies effective tier bandwidth
+// across every path at once.
 //
 // # Object format
 //

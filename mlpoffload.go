@@ -19,23 +19,24 @@
 //     from GOMAXPROCS) is the paper's sequential update phase; any worker
 //     count yields bit-identical parameters. Tier traffic is priority-scheduled: every I/O op
 //     carries a class (demand fetch > grad read > prefetch > flush >
-//     checkpoint > migration) in a per-tier multi-level queue with
-//     starvation-proof aging, so a background checkpoint or migration
-//     stream can never head-of-line-block the update critical path. With
-//     AdaptivePlacement, the per-iteration replan is an enforced
-//     contract: two background migrators move displaced subgroups to
-//     their newly planned tiers.
+//     checkpoint) in a per-tier multi-level queue with starvation-proof
+//     aging, so a background checkpoint stream can never
+//     head-of-line-block the update critical path. With
+//     AdaptivePlacement, the split is replanned every iteration and the
+//     next update phase's eviction writes move the displaced subgroups
+//     to their newly planned tiers.
 //     Checkpoints are restorable end to end: pre-staged persistent-tier
 //     state is snapshotted under step-tagged keys, a manifest commits the
 //     checkpoint, and Engine.Restore (or the coordinated
 //     TrainNode.Resume) continues training bit-identically after a
-//     crash, including checkpoints taken mid-migration. Tiers can carry
+//     crash, including checkpoints taken while a replan's moves are
+//     still pending. Tiers can carry
 //     transparent codec middleware (TierSpec.Codec / NewCodecTier):
 //     objects cross the device compressed (split into byte planes, the
 //     sign/exponent plane Huffman-coded, incompressible bypass) and
 //     CRC32-C-checked, multiplying
-//     effective tier bandwidth on every fetch/flush/checkpoint/migration
-//     path while corrupted objects surface as typed ErrCorruptObject
+//     effective tier bandwidth on every fetch/flush/checkpoint path while
+//     corrupted objects surface as typed ErrCorruptObject
 //     failures (retried when transient) instead of being consumed.
 //
 //   - The paper-scale simulator (RunSim): the same offloading policies
@@ -320,8 +321,8 @@ func NewFaultTier(inner Tier, cfg FaultConfig) *FaultTier {
 
 // ThrottledTier is a bandwidth-emulated tier. SetRates changes its
 // read/write bandwidths mid-run, which is how experiments simulate a tier
-// slowing down under external load (and watch adaptive placement + live
-// migration converge onto the new plan).
+// slowing down under external load (and watch adaptive placement and the
+// eviction writes converge onto the new plan).
 type ThrottledTier = storage.Throttled
 
 // NewThrottledTier wraps a tier with Table-1-style bandwidth limits so a
