@@ -96,7 +96,7 @@ type Engine struct {
 	// sgOffset[i] is the global parameter offset of subgroup i.
 	sgOffset []int64
 
-	grad32   []float32 // backward scratch
+	grad32   []float32 // one subgroup's FP32 scratch (Grad hook, setup, restore)
 	fullGrad []float32 // whole-shard gradient buffer (BatchGrad mode)
 
 	step  int // optimizer step (1-based at first update)
@@ -593,12 +593,19 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 	for i, sg := range e.shard.Subgroups {
 		n := sg.Len()
 		off := e.sgOffset[i]
-		g32 := e.grad32[:n]
+		var g32 []float32
 		if e.cfg.BatchGrad != nil {
-			copy(g32, e.fullGrad[off:off+int64(n)])
+			// The subgroup's slice of the whole-shard buffer is used in
+			// place: BatchGrad refills all of it on every call and
+			// nothing reads it after this subgroup's pass.
+			g32 = e.fullGrad[off : off+int64(n)]
 		} else {
-			for j := 0; j < n; j++ {
-				p := fp16.ToFloat32(e.params16[off+int64(j)])
+			g32 = e.grad32[:n]
+			for j, h := range e.params16[off : off+int64(n)] {
+				p, ok := fp16.ToFloat32Fast(h)
+				if !ok {
+					p = fp16.ToFloat32(h)
+				}
 				g32[j] = e.cfg.Grad(iter, off+int64(j), p)
 			}
 		}
@@ -612,7 +619,11 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 			// the update; combined globally before clipping.
 			var sum float64
 			for _, h := range sg.Grads16 {
-				v := float64(fp16.ToFloat32(h))
+				f, ok := fp16.ToFloat32Fast(h)
+				if !ok {
+					f = fp16.ToFloat32(h)
+				}
+				v := float64(f)
 				sum += v * v
 			}
 			e.partialNorms[i] = math.Sqrt(sum)

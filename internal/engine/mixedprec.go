@@ -68,7 +68,16 @@ func applyClip(sg *subgroup.Subgroup, factor float32, fp16Path bool) {
 	}
 	if fp16Path {
 		for i, g := range sg.Grads16 {
-			sg.Grads16[i] = fp16.FromFloat32(fp16.ToFloat32(g) * factor)
+			f, ok := fp16.ToFloat32Fast(g)
+			if !ok {
+				f = fp16.ToFloat32(g)
+			}
+			f *= factor
+			h, ok := fp16.FromFloat32Fast(f)
+			if !ok {
+				h = fp16.FromFloat32(f)
+			}
+			sg.Grads16[i] = h
 		}
 		return
 	}

@@ -7,7 +7,6 @@ import (
 
 	"github.com/datastates/mlpoffload/internal/aio"
 	"github.com/datastates/mlpoffload/internal/f32view"
-	"github.com/datastates/mlpoffload/internal/fp16"
 	"github.com/datastates/mlpoffload/internal/hostcache"
 	"github.com/datastates/mlpoffload/internal/metrics"
 	"github.com/datastates/mlpoffload/internal/optim"
@@ -22,8 +21,9 @@ import (
 //	            as cache hit or miss, pins it, and keeps up to
 //	            prefetchDepth+UpdateWorkers fetches/items in flight.
 //	workers   — UpdateWorkers goroutines consume items, wait for their
-//	            fetches, and run the Adam update + FP16 re-encode, so the
-//	            update of subgroup k overlaps with tier reads for k+1..k+d.
+//	            fetches, and run the Adam update, which also re-encodes the
+//	            FP16 working copy in the same pass, so the update of
+//	            subgroup k overlaps with tier reads for k+1..k+d.
 //	committer — consumes items strictly in order: counts hits, misses
 //	            and kernel time, unpins, touches the LRU, and lazily
 //	            flushes the displaced victims, preserving the
@@ -425,9 +425,10 @@ func (e *Engine) releaseFetch(pf *pendingFetch) {
 }
 
 // processItem performs one subgroup's fetch-completion, state adoption,
-// clip, Adam step and FP16 re-encode. All engine state it mutates is
-// private to the subgroup (pinning keeps eviction away); shared
-// structures (estimator, rate limiters, pools) are concurrency-safe.
+// clip, and the Adam step that also re-encodes the FP16 working copy.
+// All engine state it mutates is private to the subgroup (pinning keeps
+// eviction away); shared structures (estimator, rate limiters, pools)
+// are concurrency-safe.
 //
 // Zero-copy steady state: a fetched state object is not deserialized —
 // MapState validates its header and points optim.State's Params/M/V
@@ -536,11 +537,15 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 	// fixed-size chunks by the shared kernel pool (serially when kern is
 	// nil), so one subgroup's Adam step uses every kernel worker. Chunk
 	// boundaries are identical at any worker count, so the parameters
-	// are bit-identical regardless of KernelWorkers.
+	// are bit-identical regardless of KernelWorkers. The same pass
+	// narrows each updated parameter into the FP16 working copy, the
+	// H2D return of the refreshed parameters to the device.
+	off := e.sgOffset[item.sgID]
+	params16 := e.params16[off : off+int64(sg.Len())]
 	if e.cfg.SkipGradFlush {
-		optim.StepFP16On(e.kern, sg.State, sg.Grads16, e.cfg.Hyper, e.step)
+		optim.StepFP16To(e.kern, sg.State, sg.Grads16, params16, e.cfg.Hyper, e.step)
 	} else {
-		optim.StepFP32On(e.kern, sg.State, sg.Grads32, e.cfg.Hyper, e.step)
+		optim.StepFP32To(e.kern, sg.State, sg.Grads32, params16, e.cfg.Hyper, e.step)
 		sg.Grads32 = nil // discarded after the update, as in ZeRO-3
 	}
 	if gradBacking != nil {
@@ -550,10 +555,6 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 		e.gradPool.Put(gradBacking)
 	}
 	item.compute = sw.Lap()
-
-	// H2D: the refreshed FP16 parameters return to the device.
-	off := e.sgOffset[item.sgID]
-	fp16.EncodeOn(e.kern, e.params16[off:off+int64(sg.Len())], sg.State.Params)
 	return nil
 }
 

@@ -107,3 +107,39 @@ func BenchmarkDecodeBulk(b *testing.B) {
 		Decode(dst, enc)
 	}
 }
+
+// TestFastPathsMatchScalar pins the exported fast paths to the scalar
+// conversions wherever they report ok: every half for ToFloat32Fast, and
+// for FromFloat32Fast every widened half, its float32 neighbours (the
+// round-to-nearest-even ties and near-ties) and random bit patterns.
+func TestFastPathsMatchScalar(t *testing.T) {
+	var from []float32
+	for u := 0; u <= 0xFFFF; u++ {
+		h := Bits(u)
+		want := ToFloat32(h)
+		if f, ok := ToFloat32Fast(h); ok && math.Float32bits(f) != math.Float32bits(want) {
+			t.Fatalf("ToFloat32Fast(%#x) = %x, want %x", u, math.Float32bits(f), math.Float32bits(want))
+		}
+		b := math.Float32bits(want)
+		from = append(from, want, math.Float32frombits(b+1), math.Float32frombits(b-1),
+			math.Float32frombits(b+0x1000), math.Float32frombits(b-0x1000))
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 1<<16; i++ {
+		from = append(from, math.Float32frombits(rng.Uint32()))
+	}
+	fast := 0
+	for _, f := range from {
+		h, ok := FromFloat32Fast(f)
+		if !ok {
+			continue
+		}
+		fast++
+		if want := FromFloat32(f); h != want {
+			t.Fatalf("FromFloat32Fast(%x) = %#x, want %#x", math.Float32bits(f), h, want)
+		}
+	}
+	if fast < len(from)/2 {
+		t.Fatalf("fast path took only %d of %d values", fast, len(from))
+	}
+}

@@ -13,7 +13,10 @@
 // convert-and-accumulate used by gradient accumulation.
 package fp16
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Bits is a raw IEEE-754 binary16 value. The zero value is +0.0.
 type Bits uint16
@@ -143,13 +146,15 @@ func IsInf(h Bits) bool {
 }
 
 // The bulk kernels below run over every gradient element every
-// iteration (the H2D re-encode of refreshed parameters, the delayed
+// iteration (the backward pass's gradient narrowing, the baseline's
 // gradient widening), so they are built from two pieces:
 //
-//   - an *inlinable* fast path (toFloat32Fast / fromFloat32Fast) for the
+//   - an *inlinable* fast path (ToFloat32Fast / FromFloat32Fast) for the
 //     dominant case — normal halves — because the full scalar
 //     conversions exceed the compiler's inlining budget and would cost a
-//     function call per element;
+//     function call per element. Both are exported so other per-element
+//     loops (the fused Adam step in internal/optim, gradient clipping)
+//     share the same bit tricks;
 //   - 8-wide unrolling with full-slice re-slicing, so the bounds check
 //     is paid once per block and the eight conversions are independent.
 //
@@ -158,11 +163,17 @@ func IsInf(h Bits) bool {
 // to the element-at-a-time loop — the parity tests pin that across
 // random bit patterns.
 
-// toFloat32Fast widens a *normal* half (exponent in [1,30]) with the
+// ToFloat32Fast widens a *normal* half (exponent in [1,30]) with the
 // contiguous-field rebias: exp/frac sit adjacent in both formats, so
 // (h&0x7FFF)<<13 + (112<<23) re-biases the exponent (15→127) and
-// places the fraction in one add. ok=false for zero/subnormal/Inf/NaN.
-func toFloat32Fast(h Bits) (float32, bool) {
+// places the fraction in one add. ok=false for zero/subnormal/Inf/NaN,
+// where the caller falls back to ToFloat32:
+//
+//	f, ok := fp16.ToFloat32Fast(h)
+//	if !ok {
+//		f = fp16.ToFloat32(h)
+//	}
+func ToFloat32Fast(h Bits) (float32, bool) {
 	u := uint32(h)
 	if e := u & expMask16; e == 0 || e == expMask16 {
 		return 0, false
@@ -170,15 +181,16 @@ func toFloat32Fast(h Bits) (float32, bool) {
 	return math.Float32frombits((u&signMask16)<<16 | ((u&0x7FFF)<<13 + 0x38000000)), true
 }
 
-// fromFloat32Fast narrows an FP32 value whose magnitude lies in the
+// FromFloat32Fast narrows an FP32 value whose magnitude lies in the
 // normal-half range [2^-14, 2^16): the adjacent exp/frac fields make
 // rounding one add — 0xFFF plus the round-to-odd bit implements exact
 // round-to-nearest-even on the 13 discarded bits, with the carry
 // propagating into the exponent (and into infinity at the top, which is
 // the correct overflow result). ok=false outside the range — including
 // values just below 2^-14 that might round *up* into it, which the
-// scalar slow path handles identically.
-func fromFloat32Fast(f float32) (Bits, bool) {
+// scalar slow path handles identically. Callers fall back to
+// FromFloat32 when ok is false, exactly as with ToFloat32Fast.
+func FromFloat32Fast(f float32) (Bits, bool) {
 	b := math.Float32bits(f)
 	abs := b & 0x7FFFFFFF
 	if abs-0x38800000 >= 0x47800000-0x38800000 {
@@ -203,7 +215,7 @@ func encodeRange(dst []Bits, src []float32, lo, hi int) {
 		d := dst[i : i+8 : i+8]
 		s := src[i : i+8 : i+8]
 		for j, f := range s {
-			if h, ok := fromFloat32Fast(f); ok {
+			if h, ok := FromFloat32Fast(f); ok {
 				d[j] = h
 			} else {
 				d[j] = FromFloat32(f)
@@ -211,7 +223,7 @@ func encodeRange(dst []Bits, src []float32, lo, hi int) {
 		}
 	}
 	for ; i < hi; i++ {
-		if h, ok := fromFloat32Fast(src[i]); ok {
+		if h, ok := FromFloat32Fast(src[i]); ok {
 			dst[i] = h
 		} else {
 			dst[i] = FromFloat32(src[i])
@@ -236,7 +248,7 @@ func decodeRange(dst []float32, src []Bits, lo, hi int) {
 		_ = d[7]
 		for j := 0; j < 8; j++ {
 			h := s[j]
-			if f, ok := toFloat32Fast(h); ok {
+			if f, ok := ToFloat32Fast(h); ok {
 				d[j] = f
 			} else {
 				d[j] = ToFloat32(h)
@@ -244,7 +256,7 @@ func decodeRange(dst []float32, src []Bits, lo, hi int) {
 		}
 	}
 	for ; i < hi; i++ {
-		if f, ok := toFloat32Fast(src[i]); ok {
+		if f, ok := ToFloat32Fast(src[i]); ok {
 			dst[i] = f
 		} else {
 			dst[i] = ToFloat32(src[i])
@@ -262,7 +274,7 @@ func DecodeAccumulate(dst []float32, src []Bits) int {
 		d := dst[i : i+8 : i+8]
 		s := src[i : i+8 : i+8]
 		for j, h := range s {
-			if f, ok := toFloat32Fast(h); ok {
+			if f, ok := ToFloat32Fast(h); ok {
 				d[j] += f
 			} else {
 				d[j] += ToFloat32(h)
@@ -270,7 +282,7 @@ func DecodeAccumulate(dst []float32, src []Bits) int {
 		}
 	}
 	for ; i < n; i++ {
-		if f, ok := toFloat32Fast(src[i]); ok {
+		if f, ok := ToFloat32Fast(src[i]); ok {
 			dst[i] += f
 		} else {
 			dst[i] += ToFloat32(src[i])
@@ -288,20 +300,49 @@ type Runner interface {
 	Run(n int, fn func(lo, hi int))
 }
 
-// runOn dispatches through the runner, inline when it is nil.
-func runOn(r Runner, n int, fn func(lo, hi int)) {
-	if r == nil {
-		fn(0, n)
-		return
+// codec is one bulk conversion between h and f. fn is the chunk callback
+// handed to the Runner, bound once when the codec is made, so a pooled
+// conversion builds no closure per call.
+type codec struct {
+	h      []Bits
+	f      []float32
+	encode bool
+	fn     func(lo, hi int)
+}
+
+var codecs = sync.Pool{New: func() any {
+	c := new(codec)
+	c.fn = c.run
+	return c
+}}
+
+func (c *codec) run(lo, hi int) {
+	if c.encode {
+		encodeRange(c.h, c.f, lo, hi)
+	} else {
+		decodeRange(c.f, c.h, lo, hi)
 	}
-	r.Run(n, fn)
+}
+
+// runOn converts [0, n) between h and f through the runner, inline when
+// it is nil.
+func runOn(r Runner, n int, h []Bits, f []float32, encode bool) {
+	c := codecs.Get().(*codec)
+	c.h, c.f, c.encode = h, f, encode
+	if r == nil {
+		c.run(0, n)
+	} else {
+		r.Run(n, c.fn)
+	}
+	c.h, c.f = nil, nil
+	codecs.Put(c)
 }
 
 // EncodeOn is Encode fanned across the runner's workers; bit-identical
 // to Encode at any pool size (elements convert independently).
 func EncodeOn(r Runner, dst []Bits, src []float32) int {
 	n := min(len(dst), len(src))
-	runOn(r, n, func(lo, hi int) { encodeRange(dst, src, lo, hi) })
+	runOn(r, n, dst, src, true)
 	return n
 }
 
@@ -309,6 +350,6 @@ func EncodeOn(r Runner, dst []Bits, src []float32) int {
 // to Decode at any pool size.
 func DecodeOn(r Runner, dst []float32, src []Bits) int {
 	n := min(len(dst), len(src))
-	runOn(r, n, func(lo, hi int) { decodeRange(dst, src, lo, hi) })
+	runOn(r, n, src, dst, false)
 	return n
 }

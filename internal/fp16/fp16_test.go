@@ -285,6 +285,26 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestPooledCodecsAllocateNothing: EncodeOn and DecodeOn reuse their
+// codec, whose chunk callback is bound once, and the pool its dispatch
+// descriptor, so a pooled conversion allocates nothing.
+func TestPooledCodecsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	n := 2*kernpool.ChunkElems + 3
+	f := make([]float32, n)
+	h := make([]Bits, n)
+	pool := kernpool.New(2)
+	defer pool.Close()
+	if a := testing.AllocsPerRun(50, func() { EncodeOn(pool, h, f) }); a != 0 {
+		t.Errorf("pooled EncodeOn allocates %v times per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(50, func() { DecodeOn(pool, f, h) }); a != 0 {
+		t.Errorf("pooled DecodeOn allocates %v times per call, want 0", a)
+	}
+}
+
 func TestDecodeAccumulate(t *testing.T) {
 	dst := []float32{1, 2, 3}
 	src := []Bits{FromFloat32(0.5), FromFloat32(-1), FromFloat32(10)}

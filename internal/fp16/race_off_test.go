@@ -1,0 +1,7 @@
+//go:build !race
+
+package fp16
+
+// raceEnabled reports whether the race detector is active: it makes
+// sync.Pool drop objects at random, so allocation counts mean nothing.
+const raceEnabled = false

@@ -107,3 +107,49 @@ func TestRunAfterCloseIsInline(t *testing.T) {
 		t.Fatalf("ran %d", ran)
 	}
 }
+
+// TestPooledRunAllocatesNothing pins allocation-free dispatch: Run
+// recycles its shared descriptor, so a pooled Run with a pre-built fn
+// allocates nothing, whether or not a helper joins.
+func TestPooledRunAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops objects at random under -race")
+	}
+	p := New(2)
+	defer p.Close()
+	var total atomic.Int64
+	fn := func(lo, hi int) { total.Add(int64(hi - lo)) }
+	n := 3*ChunkElems + 5
+	if a := testing.AllocsPerRun(200, func() { p.Run(n, fn) }); a != 0 {
+		t.Fatalf("pooled Run allocates %v times per call, want 0", a)
+	}
+	if got := total.Load(); got%int64(n) != 0 {
+		t.Fatalf("processed %d elements, not a multiple of %d", got, n)
+	}
+}
+
+// TestRecycledDescriptorsUnderContention drives many short Runs from
+// several callers through one pool, so helpers often receive a
+// descriptor only after its caller has returned it; every Run must
+// still cover its own range exactly once.
+func TestRecycledDescriptorsUnderContention(t *testing.T) {
+	p := New(3)
+	defer p.Close()
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				n := (c+k)%3*ChunkElems + ChunkElems + k
+				var covered atomic.Int64
+				p.Run(n, func(lo, hi int) { covered.Add(int64(hi - lo)) })
+				if got := covered.Load(); got != int64(n) {
+					t.Errorf("caller %d run %d covered %d of %d", c, k, got, n)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}

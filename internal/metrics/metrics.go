@@ -62,7 +62,8 @@ type Iteration struct {
 	// TierBytes is the bytes of optimizer state resident on each tier at
 	// the end of the iteration ("host" included).
 	TierBytes map[string]float64
-	// UpdateComputeTime is the CPU time inside the Adam kernel.
+	// UpdateComputeTime is the CPU time inside the Adam kernel, which
+	// also narrows the updated parameters into the FP16 working copy.
 	UpdateComputeTime float64
 	// ClassIO breaks the same I/O down by I/O scheduler priority class
 	// (keys are aio.Class strings: "demand-fetch", "prefetch", "flush",

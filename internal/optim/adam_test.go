@@ -101,7 +101,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	a := NewState(params)
 	b := NewState(params)
 	StepFP32(a, grads, h, 1)
-	StepFP32On(pool, b, grads, h, 1)
+	StepFP32To(pool, b, grads, nil, h, 1)
 	for i := 0; i < n; i++ {
 		if a.Params[i] != b.Params[i] {
 			t.Fatalf("parallel diverges at %d", i)

@@ -1,86 +1,12 @@
 package optim
 
 import (
-	"math"
-	"math/rand"
 	"strconv"
 	"testing"
 
 	"github.com/datastates/mlpoffload/internal/fp16"
 	"github.com/datastates/mlpoffload/internal/kernpool"
 )
-
-// nastyValues fills a gradient slice with the hard cases: subnormals,
-// values that flush to zero in FP16, Inf, NaN, and ordinary magnitudes.
-func nastyValues(n int, seed int64) []float32 {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]float32, n)
-	for i := range out {
-		switch i % 7 {
-		case 0:
-			out[i] = 1e-5 // subnormal in FP16
-		case 1:
-			out[i] = -6.0e-8 // below FP16 subnormal: flushes to zero
-		case 2:
-			out[i] = float32(math.Inf(1))
-		case 3:
-			out[i] = float32(math.NaN())
-		default:
-			out[i] = float32(rng.NormFloat64()) * 0.01
-		}
-	}
-	return out
-}
-
-// TestStepOnMatchesSerial: the pooled Step variants must be bit-identical
-// to the serial kernels at any worker count — including odd lengths that
-// don't divide into chunks and non-finite gradient values.
-func TestStepOnMatchesSerial(t *testing.T) {
-	h := DefaultHyper()
-	for _, n := range []int{1, 1000, kernpool.ChunkElems, 2*kernpool.ChunkElems + 4097} {
-		grads := nastyValues(n, 42)
-		grads16 := make([]fp16.Bits, n)
-		for i, g := range grads {
-			grads16[i] = fp16.FromFloat32(g)
-		}
-		init := make([]float32, n)
-		for i := range init {
-			init[i] = float32(i%13) * 0.1
-		}
-		run32 := func(p *kernpool.Pool) *State {
-			s := NewState(append([]float32(nil), init...))
-			for step := 1; step <= 3; step++ {
-				StepFP32On(p, s, grads, h, step)
-			}
-			return s
-		}
-		run16 := func(p *kernpool.Pool) *State {
-			s := NewState(append([]float32(nil), init...))
-			for step := 1; step <= 3; step++ {
-				StepFP16On(p, s, grads16, h, step)
-			}
-			return s
-		}
-		want32, want16 := run32(nil), run16(nil)
-		for _, workers := range []int{1, 2, 7} {
-			p := kernpool.New(workers)
-			got32, got16 := run32(p), run16(p)
-			p.Close()
-			for i := 0; i < n; i++ {
-				a, b := want32.Params[i], got32.Params[i]
-				if a != b && !(isNaN32(a) && isNaN32(b)) {
-					t.Fatalf("n=%d workers=%d FP32 param %d: %v vs %v", n, workers, i, a, b)
-				}
-				a, b = want16.Params[i], got16.Params[i]
-				if a != b && !(isNaN32(a) && isNaN32(b)) {
-					t.Fatalf("n=%d workers=%d FP16 param %d: %v vs %v", n, workers, i, a, b)
-				}
-			}
-		}
-	}
-}
-
-func isNaN32(f float32) bool { return f != f }
 
 // benchGrads16 builds a finite FP16 gradient set (NaN/Inf would make the
 // kernel's work data-dependent across iterations).
@@ -128,7 +54,7 @@ func BenchmarkStepFP32KernelPool(b *testing.B) {
 		b.SetBytes(int64(n) * 16) // P+M+V+G traffic
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			StepFP32On(p, s, grads, h, i+1)
+			StepFP32To(p, s, grads, nil, h, i+1)
 		}
 	}
 	b.Run("workers=serial", func(b *testing.B) { run(b, nil) })
