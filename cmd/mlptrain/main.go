@@ -11,6 +11,7 @@
 //	mlptrain -dir /tmp/offload        # file-backed tiers instead of RAM
 //	mlptrain -dir /tmp/offload -checkpoint-every 2   # restorable checkpoints
 //	mlptrain -dir /tmp/offload -resume               # continue a crashed run
+//	mlptrain -dir /tmp/offload -cpuprofile cpu.out -memprofile mem.out
 //
 // Elastic multi-process training (one coordinator, N members; the
 // members' -dir must point at shared storage):
@@ -57,11 +58,21 @@ func main() {
 		hb        = flag.Duration("heartbeat", 500*time.Millisecond, "elastic heartbeat cadence")
 		hbTimeout = flag.Duration("heartbeat-timeout", 2*time.Second, "elastic missed-heartbeat death threshold")
 		killAt    = flag.Int("kill-at", 0, "elastic fault drill: member falls silent after computing this iteration (0 = off)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile (pprof \"allocs\") to this file when the run ends")
 	)
 	flag.Parse()
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "mlptrain: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "mlptrain: "+format+"\n", args...)
+		stopProfiles()
 		os.Exit(1)
 	}
 

@@ -169,9 +169,11 @@ type Op struct {
 
 	buf []byte
 	// Vectored read batch (nil for single-object ops): one scheduling
-	// decision fills bufs[i] with the object at keys[i].
+	// decision fills bufs[i] with the object at keys[i]; Key is keys[0].
 	keys []string
 	bufs [][]byte
+	// then, when set, is told of the op's completion (Completer).
+	then Completer
 	// Same-key order, guarded by Engine.mu. waits counts the unfinished
 	// earlier ops on this op's keys: while it is positive the op is
 	// parked — in no class queue. preds are those ops (priority
@@ -181,12 +183,42 @@ type Op struct {
 	next  []*Op
 }
 
-// memberKeys returns the keys the op operates on.
-func (o *Op) memberKeys() []string {
+// members returns how many keys the op operates on, and member the
+// i'th: the walk over them builds no slice for a single-key op.
+func (o *Op) members() int {
 	if o.keys != nil {
-		return o.keys
+		return len(o.keys)
 	}
-	return []string{o.Key}
+	return 1
+}
+
+func (o *Op) member(i int) string {
+	if o.keys != nil {
+		return o.keys[i]
+	}
+	return o.Key
+}
+
+// String names the op for messages: its key, or for a vectored read its
+// first key and the count of the others.
+func (o *Op) String() string {
+	if len(o.keys) > 1 {
+		return fmt.Sprintf("%s (+%d)", o.keys[0], len(o.keys)-1)
+	}
+	return o.Key
+}
+
+// Buf returns the caller's buffer the op reads into or writes from; nil
+// for deletes and vectored reads.
+func (o *Op) Buf() []byte { return o.buf }
+
+// Completer is told when an op submitted with it has finished. OpDone
+// runs on the aio worker that executed the op, once the op's error and
+// statistics are final and before Wait returns, Drain observes the op
+// finished, or an op parked behind it on its key becomes runnable. It
+// must not block: it holds the worker.
+type Completer interface {
+	OpDone(op *Op)
 }
 
 // WireBytes returns the bytes the operation moved at the device level;
@@ -347,13 +379,16 @@ func (e *Engine) Tier() storage.Tier { return e.tier }
 
 func (e *Engine) worker() {
 	defer e.wg.Done()
+	// One wire-byte cell serves every op this worker runs, reset before
+	// each tier call.
+	ctx, wc := storage.WithWireCount(e.ctx)
 	for {
 		op := e.next()
 		if op == nil {
 			return
 		}
 		op.started = e.clk.Now()
-		wire, err := e.transfer(op)
+		wire, err := e.transfer(ctx, wc, op)
 		e.finish(op, wire, err)
 	}
 }
@@ -403,17 +438,21 @@ func (e *Engine) pick(now time.Time) *Op {
 			}
 		}
 	}
-	op := e.queues[best][0]
-	e.queues[best][0] = nil // release for GC
-	e.queues[best] = e.queues[best][1:]
+	// Shift rather than re-slice, so the queue keeps its backing array
+	// and push never regrows it.
+	q := e.queues[best]
+	op := q[0]
+	copy(q, q[1:])
+	q[len(q)-1] = nil // release for GC
+	e.queues[best] = q[:len(q)-1]
 	return op
 }
 
 // transfer runs the op against the tier and returns the bytes the device
-// moved.
-func (e *Engine) transfer(op *Op) (int64, error) {
+// moved. ctx carries the worker's wire-count cell wc.
+func (e *Engine) transfer(ctx context.Context, wc *storage.WireCount, op *Op) (int64, error) {
 	if e.split != nil && op.Kind != Delete {
-		return e.executeSplit(op)
+		return e.executeSplit(ctx, wc, op)
 	}
 	rel, err := e.lock(op)
 	if err != nil {
@@ -422,28 +461,23 @@ func (e *Engine) transfer(op *Op) (int64, error) {
 	// A codec decorator records the encoded (device-level) size of the
 	// transfer into the wire-count cell; plain tiers leave it at zero and
 	// the op's raw size stands in.
-	var wc *storage.WireCount
-	ctx := e.ctx
+	wc.Reset()
 	switch op.Kind {
 	case Read:
-		ctx, wc = storage.WithWireCount(ctx)
 		if op.keys != nil {
 			err = storage.ReadVec(ctx, e.tier, op.keys, op.bufs)
 		} else {
 			err = e.tier.Read(ctx, op.Key, op.buf)
 		}
 	case Write:
-		ctx, wc = storage.WithWireCount(ctx)
 		err = e.tier.Write(ctx, op.Key, op.buf)
 	case Delete:
 		err = e.tier.Delete(ctx, op.Key)
 	}
 	rel()
 	wire := int64(op.Bytes)
-	if wc != nil {
-		if w := wc.Bytes(); w > 0 {
-			wire = w
-		}
+	if w := wc.Bytes(); w > 0 {
+		wire = w
 	}
 	return wire, err
 }
@@ -456,7 +490,7 @@ func (e *Engine) lock(op *Op) (tierlock.Release, error) {
 	}
 	rel, err := e.locks.Acquire(e.ctx, e.tier.Name())
 	if err != nil {
-		return nil, fmt.Errorf("aio: %s %s: lock: %w", op.Kind, op.Key, err)
+		return nil, fmt.Errorf("aio: %s %s: lock: %w", op.Kind, op, err)
 	}
 	return rel, nil
 }
@@ -466,7 +500,7 @@ func (e *Engine) lock(op *Op) (tierlock.Release, error) {
 // inner write of the encoded object; a read — each member of a vectored
 // one — takes the lock for the inner whole-object read, releases it, and
 // only then decodes. It returns the encoded bytes the device moved.
-func (e *Engine) executeSplit(op *Op) (int64, error) {
+func (e *Engine) executeSplit(ctx context.Context, wc *storage.WireCount, op *Op) (int64, error) {
 	if op.Kind == Write {
 		t0 := e.clk.Now()
 		enc := e.split.Encode(op.buf)
@@ -476,17 +510,17 @@ func (e *Engine) executeSplit(op *Op) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		ctx, wc := storage.WithWireCount(e.ctx)
+		wc.Reset()
 		err = e.split.WriteEncoded(ctx, op.Key, enc)
 		rel()
 		return wc.Bytes(), err
 	}
 	if op.keys == nil {
-		return e.readSplit(op, op.Key, op.buf)
+		return e.readSplit(ctx, wc, op, op.Key, op.buf)
 	}
 	var wire int64
 	for i, key := range op.keys {
-		w, err := e.readSplit(op, key, op.bufs[i])
+		w, err := e.readSplit(ctx, wc, op, key, op.bufs[i])
 		wire += w
 		if err != nil {
 			return wire, err
@@ -496,12 +530,12 @@ func (e *Engine) executeSplit(op *Op) (int64, error) {
 }
 
 // readSplit reads and decodes one object of a codec tier into dst.
-func (e *Engine) readSplit(op *Op, key string, dst []byte) (int64, error) {
+func (e *Engine) readSplit(ctx context.Context, wc *storage.WireCount, op *Op, key string, dst []byte) (int64, error) {
 	rel, err := e.lock(op)
 	if err != nil {
 		return 0, err
 	}
-	ctx, wc := storage.WithWireCount(e.ctx)
+	wc.Reset()
 	enc, err := e.split.ReadEncoded(ctx, key)
 	rel()
 	if err != nil {
@@ -546,9 +580,12 @@ func (e *Engine) finish(op *Op, wire int64, err error) {
 		e.opsFailed.Add(1)
 		cell.failed.Add(1)
 	}
+	if op.then != nil {
+		op.then.OpDone(op)
+	}
 	e.mu.Lock()
-	for _, key := range op.memberKeys() {
-		if e.last[key] == op {
+	for i := range op.members() {
+		if key := op.member(i); e.last[key] == op {
 			delete(e.last, key)
 		}
 	}
@@ -572,12 +609,13 @@ func (e *Engine) push(op *Op) {
 	e.queued++
 }
 
-// submit enqueues a single-object op at the given class.
-func (e *Engine) submit(c Class, kind OpKind, key string, buf []byte) (*Op, error) {
+// submit enqueues a single-object op at the given class; then, if not
+// nil, is told of its completion.
+func (e *Engine) submit(c Class, kind OpKind, key string, buf []byte, then Completer) (*Op, error) {
 	if c < 0 || int(c) >= NumClasses {
 		return nil, fmt.Errorf("aio: invalid class %d", c)
 	}
-	op := &Op{Kind: kind, Key: key, Bytes: len(buf), done: make(chan struct{}), buf: buf}
+	op := &Op{Kind: kind, Key: key, Bytes: len(buf), done: make(chan struct{}), buf: buf, then: then}
 	op.class.Store(int32(c))
 	return e.enqueue(c, op)
 }
@@ -596,7 +634,8 @@ func (e *Engine) enqueue(c Class, op *Op) (*Op, error) {
 		return nil, ErrEngineClosed
 	}
 	op.queuedAt = e.clk.Now()
-	for _, key := range op.memberKeys() {
+	for i := range op.members() {
+		key := op.member(i)
 		if p := e.last[key]; p != nil && p != op {
 			p.next = append(p.next, op)
 			op.preds = append(op.preds, p)
@@ -617,7 +656,7 @@ func (e *Engine) enqueue(c Class, op *Op) (*Op, error) {
 // given priority class. The caller must not touch dst until the returned
 // op completes.
 func (e *Engine) SubmitReadClass(c Class, key string, dst []byte) (*Op, error) {
-	return e.submit(c, Read, key, dst)
+	return e.submit(c, Read, key, dst, nil)
 }
 
 // SubmitReadVecClass enqueues one vectored fetch: a single operation —
@@ -640,13 +679,13 @@ func (e *Engine) SubmitReadVecClass(c Class, keys []string, dsts [][]byte) (*Op,
 		return nil, errors.New("aio: vectored read: empty batch")
 	}
 	if len(keys) == 1 {
-		return e.submit(c, Read, keys[0], dsts[0])
+		return e.submit(c, Read, keys[0], dsts[0], nil)
 	}
 	total := 0
 	for _, d := range dsts {
 		total += len(d)
 	}
-	op := &Op{Kind: Read, Key: fmt.Sprintf("%s (+%d)", keys[0], len(keys)-1), Bytes: total, done: make(chan struct{}), keys: keys, bufs: dsts}
+	op := &Op{Kind: Read, Key: keys[0], Bytes: total, done: make(chan struct{}), keys: keys, bufs: dsts}
 	op.class.Store(int32(c))
 	return e.enqueue(c, op)
 }
@@ -655,25 +694,38 @@ func (e *Engine) SubmitReadVecClass(c Class, keys []string, dsts [][]byte) (*Op,
 // given priority class. The caller must not modify src until the returned
 // op completes.
 func (e *Engine) SubmitWriteClass(c Class, key string, src []byte) (*Op, error) {
-	return e.submit(c, Write, key, src)
+	return e.submit(c, Write, key, src, nil)
+}
+
+// SubmitWriteThen is SubmitWriteClass with then told of the write's
+// completion (Completer): the way to recycle src, or account for the
+// write, without a goroutine waiting on the op.
+func (e *Engine) SubmitWriteThen(c Class, key string, src []byte, then Completer) (*Op, error) {
+	return e.submit(c, Write, key, src, then)
 }
 
 // SubmitDelete enqueues an asynchronous removal of key at the given
 // priority class. Deleting a missing key is not an error (Tier contract).
 func (e *Engine) SubmitDelete(c Class, key string) (*Op, error) {
-	return e.submit(c, Delete, key, nil)
+	return e.submit(c, Delete, key, nil, nil)
+}
+
+// SubmitDeleteThen is SubmitDelete with then told of the delete's
+// completion (Completer).
+func (e *Engine) SubmitDeleteThen(c Class, key string, then Completer) (*Op, error) {
+	return e.submit(c, Delete, key, nil, then)
 }
 
 // SubmitRead enqueues a fetch at DemandFetch priority — the default for
 // callers that will block on the result immediately.
 func (e *Engine) SubmitRead(key string, dst []byte) (*Op, error) {
-	return e.submit(DemandFetch, Read, key, dst)
+	return e.submit(DemandFetch, Read, key, dst, nil)
 }
 
 // SubmitWrite enqueues a flush at Flush priority — the default for lazy
 // durability writes.
 func (e *Engine) SubmitWrite(key string, src []byte) (*Op, error) {
-	return e.submit(Flush, Write, key, src)
+	return e.submit(Flush, Write, key, src, nil)
 }
 
 // Promote raises a queued op to a more urgent class (typically a Prefetch

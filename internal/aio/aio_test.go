@@ -791,3 +791,69 @@ func TestOpWireBytes(t *testing.T) {
 		t.Fatalf("flush class metrics %+v", cm)
 	}
 }
+
+// recordingCompleter records each OpDone call and whether the op was
+// already done — observable to Wait — when it ran.
+type recordingCompleter struct {
+	mu        sync.Mutex
+	calls     []*Op
+	errs      []error
+	doneEarly bool
+}
+
+func (r *recordingCompleter) OpDone(op *Op) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.calls = append(r.calls, op)
+	r.errs = append(r.errs, op.Err())
+	select {
+	case <-op.Done():
+		r.doneEarly = true
+	default:
+	}
+}
+
+// TestCompleterRunsBeforeWait pins the Completer contract: OpDone runs
+// once per op, with the op's final error, before Wait returns and before
+// Drain reports the engine idle.
+func TestCompleterRunsBeforeWait(t *testing.T) {
+	boom := errors.New("write fault")
+	tier := &storage.FaultTier{Tier: storage.NewMemTier("m"), Err: boom, FailWrites: true, FailEvery: 2}
+	e := New(tier, Config{Workers: 2})
+	defer e.Close()
+	var rc recordingCompleter
+	var ops []*Op
+	for i := 0; i < 6; i++ {
+		op, err := e.SubmitWriteThen(Flush, fmt.Sprintf("k%d", i%3), []byte{byte(i)}, &rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, op)
+	}
+	del, err := e.SubmitDeleteThen(Flush, "k0", &rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops = append(ops, del)
+	e.Drain()
+	rc.mu.Lock()
+	calls := len(rc.calls)
+	rc.mu.Unlock()
+	if calls != len(ops) {
+		t.Fatalf("after Drain: %d OpDone calls, want %d", calls, len(ops))
+	}
+	for i, op := range ops {
+		err := op.Wait()
+		for j, c := range rc.calls {
+			if c == op && rc.errs[j] != err {
+				t.Errorf("op %d: OpDone saw error %v, Wait returned %v", i, rc.errs[j], err)
+			}
+		}
+	}
+	if rc.doneEarly {
+		t.Error("OpDone ran after the op was already done")
+	}
+	if m := e.Metrics(); m.OpsFailed != 3 {
+		t.Errorf("OpsFailed = %d, want the 3 injected write faults", m.OpsFailed)
+	}
+}

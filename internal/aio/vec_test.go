@@ -49,8 +49,8 @@ func TestSubmitReadVecClass(t *testing.T) {
 	if got := e.Metrics().OpsDone - before; got != 1 {
 		t.Fatalf("batch accounted as %d ops, want 1", got)
 	}
-	if !strings.Contains(op.Key, "(+4)") {
-		t.Fatalf("op.Key %q does not name the batch", op.Key)
+	if !strings.Contains(op.String(), "(+4)") {
+		t.Fatalf("op.String() %q does not name the batch", op.String())
 	}
 }
 

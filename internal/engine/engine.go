@@ -104,8 +104,13 @@ type Engine struct {
 
 	pendingFlush []*aio.Op
 	pendingGrads []*aio.Op
-	flushWG      sync.WaitGroup
 	mu           sync.Mutex // guards pendingFlush
+	// done holds each tier's completers (aio.Completer): what the engine
+	// does when a background write or delete lands, run by the aio
+	// worker that executed it. A drained aio engine has run them all.
+	done []tierDone
+	// recs are the update pipeline's reusable records.
+	recs phaseRecs
 	// ioBase holds each tier's aio counters as of the previous foldIO:
 	// the zero point of the next iteration's I/O.
 	ioBase []ioCounters
@@ -233,10 +238,19 @@ func newEngine(cfg Config) (*Engine, error) {
 	e.gradPool = hostcache.NewBufferPool(inflight+cfg.UpdateWorkers+1, 4*maxLen)
 	e.fetchSem = make(chan struct{}, e.prefetchDepth)
 
+	e.recs = newPhaseRecs(inflight, cfg.CoalesceFetches)
 	e.names = make([]string, len(cfg.Tiers))
 	e.ioBase = make([]ioCounters, len(cfg.Tiers))
 	e.est = placement.NewEstimator(0.5)
+	e.done = make([]tierDone, len(cfg.Tiers))
 	for i, t := range cfg.Tiers {
+		e.done[i] = tierDone{
+			evictAdopted: opDone{e: e, tier: i, pool: e.fetchPool, observe: true},
+			evictCopied:  opDone{e: e, tier: i, pool: e.flushPool, observe: true},
+			staged:       opDone{e: e, tier: i, pool: e.fetchPool},
+			grad:         opDone{e: e, tier: i, pool: e.gradPool},
+			reclaim:      opDone{e: e, tier: i},
+		}
 		e.names[i] = t.Tier.Name()
 		e.est.Seed(t.Tier.Name(), t.ReadBW, t.WriteBW)
 		e.aios = append(e.aios, aio.New(t.Tier, aio.Config{
@@ -286,8 +300,8 @@ func newEngine(cfg Config) (*Engine, error) {
 // asynchronous Flush-class write then owns until it lands. Both tiers
 // fill at once, and the pool quota bounds the objects in flight. On
 // success every write has landed; on failure the writes still in flight
-// are waited by the Close that New runs (their buffer returns ride
-// flushWG).
+// are waited by the Close that New runs (their completers return the
+// buffers).
 func (e *Engine) initialOffload() error {
 	var writes []*aio.Op
 	for i, sg := range e.shard.Subgroups {
@@ -331,19 +345,50 @@ func (e *Engine) initialOffload() error {
 // when the write lands, also when submission fails. The caller must wait
 // the returned op for its error.
 func (e *Engine) writePooled(tier, i int, buf []byte, size int) (*aio.Op, error) {
-	op, err := e.aios[tier].SubmitWriteClass(aio.Flush, e.key(i), buf[:size])
+	op, err := e.aios[tier].SubmitWriteThen(aio.Flush, e.key(i), buf[:size], &e.done[tier].staged)
 	if err != nil {
 		e.fetchPool.Put(buf)
 		return nil, err
 	}
-	e.flushWG.Add(1)
-	go func() {
-		defer e.flushWG.Done()
-		//mlpvet:allow aioop completion only gates the buffer return; the op is returned and the caller collects the error
-		_ = op.Wait()
-		e.fetchPool.Put(buf)
-	}()
 	return op, nil
+}
+
+// opDone is one kind of background write or delete's completion
+// (aio.Completer), run by the aio worker as the op finishes, so nothing
+// waits on the op for it: a write's buffer returns to its pool — an
+// eviction write first feeds the estimator — and a failed delete counts
+// as an orphan.
+type opDone struct {
+	e       *Engine
+	tier    int
+	pool    *hostcache.BufferPool // the written buffer's pool; nil for deletes
+	observe bool
+}
+
+// tierDone is one tier's completers, built once by newEngine, so a
+// background submission allocates nothing beyond its op.
+type tierDone struct {
+	// Eviction writes of a state adopted over its fetch-pool buffer, and
+	// of one marshaled into a flush-pool buffer.
+	evictAdopted, evictCopied opDone
+	staged                    opDone // initial-offload and restore writes
+	grad                      opDone // the baseline's FP32 gradient writes
+	reclaim                   opDone // stale-copy deletes
+}
+
+// OpDone implements aio.Completer.
+func (d *opDone) OpDone(op *aio.Op) {
+	if d.pool == nil {
+		if op.Err() != nil {
+			d.e.countOrphan(d.tier, op.Key)
+		}
+		return
+	}
+	if d.observe && op.Err() == nil {
+		d.e.observe(d.tier, op)
+	}
+	// Every write goes out from a prefix of a whole pool buffer.
+	d.pool.Put(op.Buf()[:d.pool.BufSize()])
 }
 
 // waitOps waits every op and returns the first failure.
@@ -410,20 +455,12 @@ func (e *Engine) release(sg int) {
 // reclaim deletes a stale object in the background. Same-key order keeps
 // the delete from ever removing a later write of the key, so nothing
 // waits for it except drain, and a failure only orphans bytes: it is
-// counted, never surfaced.
+// counted, by the delete's completer, never surfaced.
 func (e *Engine) reclaim(c aio.Class, tier int, key string) {
-	op, err := e.aios[tier].SubmitDelete(c, key)
-	if err != nil {
+	//mlpvet:allow aioop the delete's completer accounts for it, and quiesce's idleIO waits it
+	if _, err := e.aios[tier].SubmitDeleteThen(c, key, &e.done[tier].reclaim); err != nil {
 		e.countOrphan(tier, key)
-		return
 	}
-	e.flushWG.Add(1)
-	go func() {
-		defer e.flushWG.Done()
-		if op.Wait() != nil {
-			e.countOrphan(tier, key)
-		}
-	}()
 }
 
 // migStatsCell accumulates the counters MigrationStats reports.
@@ -646,7 +683,7 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 				tier = e.plan.TierFor(i)
 			}
 			e.cacheMu.Unlock()
-			op, err := e.aios[tier].SubmitWriteClass(aio.Flush, e.gradKey(i), wide)
+			op, err := e.aios[tier].SubmitWriteThen(aio.Flush, e.gradKey(i), wide, &e.done[tier].grad)
 			if err != nil {
 				e.gradPool.Put(gbuf)
 				return err
@@ -658,15 +695,9 @@ func (e *Engine) backward(iter int, accumStep int, lastAccum bool) error {
 				e.reclaim(aio.Flush, old, e.gradKey(i))
 			}
 			e.gradLoc[i] = tier
+			// The write's completer returns gbuf; its error is collected
+			// at the phase barrier.
 			e.pendingGrads = append(e.pendingGrads, op)
-			buf := gbuf
-			e.flushWG.Add(1)
-			go func() {
-				defer e.flushWG.Done()
-				//mlpvet:allow aioop completion only gates the buffer return; the op sits on pendingGrads and its error is collected at the phase barrier
-				_ = op.Wait()
-				e.gradPool.Put(buf)
-			}()
 		}
 	}
 	return nil
@@ -838,11 +869,19 @@ func (e *Engine) drain() error {
 
 // quiesce waits for all outstanding asynchronous work and reports the
 // first failure it absorbed. Reclamation deletes are settled on return
-// too: their completion goroutines ride flushWG.
+// too: idleIO waits them and their completers.
 func (e *Engine) quiesce() error {
 	err := e.settleWrites()
-	e.flushWG.Wait()
+	e.idleIO()
 	return err
+}
+
+// idleIO waits until every aio engine of this engine is idle, which
+// includes every completer of its ops having run.
+func (e *Engine) idleIO() {
+	for _, a := range e.aios {
+		a.Drain()
+	}
 }
 
 // settleWrites waits every lazy eviction flush and gradient write still
@@ -860,7 +899,15 @@ func (e *Engine) settleWrites() error {
 	if err := waitOps(e.pendingGrads); err != nil && firstErr == nil {
 		firstErr = fmt.Errorf("engine: gradient flush failed: %w", err)
 	}
-	e.pendingGrads = nil
+	// Both lists keep their arrays for the next phase.
+	clear(flushes)
+	e.mu.Lock()
+	if e.pendingFlush == nil {
+		e.pendingFlush = flushes[:0]
+	}
+	e.mu.Unlock()
+	clear(e.pendingGrads)
+	e.pendingGrads = e.pendingGrads[:0]
 	return firstErr
 }
 

@@ -42,29 +42,63 @@ type pendingFetch struct {
 	gradBuf  []byte
 	tier     int
 	gradTier int
-	// co links members of one coalesced vectored fetch: they share
-	// stateOp (the batch op) while keeping their own stateBuf, fetch
-	// slot, and item. nil for plain single-object fetches.
-	co *coalescedFetch
+	// batch is the op of the coalesced vectored fetch this member rides
+	// (it starts as stateOp; a corrupt-retry replaces stateOp with a
+	// private read), nil for a plain single-object fetch. The estimator
+	// sees a batch exactly once, at full size — it tracks device
+	// bandwidth, and the device made one pass — from the run's lead.
+	batch *aio.Op
+	lead  bool
 }
 
-// coalescedFetch is the shared half of one vectored read-ahead batch:
-// the aio op covering every member. The estimator sees the transfer
-// exactly once (obs), at full size — it tracks device bandwidth, and
-// the device made one pass.
-type coalescedFetch struct {
-	op  *aio.Op
-	obs sync.Once
-}
-
-// updateItem carries one subgroup through the pipeline stages.
+// updateItem carries one subgroup through the pipeline stages. Items are
+// the records of the engine's ring (phaseRecs), reused phase after phase.
 type updateItem struct {
 	sgID    int
 	hit     bool          // host-resident at issue time
-	pf      *pendingFetch // nil on a hit
+	pf      *pendingFetch // nil on a hit, else &fetch
+	fetch   pendingFetch
 	err     error
 	compute float64       // Adam kernel seconds, counted at commit
-	done    chan struct{} // closed by the worker
+	done    chan struct{} // capacity 1: the worker's send, the committer's receive
+	// keys and dsts are the vectored read's arrays when the item leads a
+	// coalesced run; the batch op holds them until it completes, which
+	// is before the item commits and its record can be reused.
+	keys []string
+	dsts [][]byte
+}
+
+// phaseRecs are the update pipeline's reusable records, built once per
+// engine, so an update phase allocates no per-subgroup state.
+type phaseRecs struct {
+	// items is a ring: the k'th subgroup of a phase's order rides
+	// items[k%len(items)]. The ring is as long as the window of items in
+	// flight, and the committer frees window slots strictly in order
+	// after it is done with an item, so the issuer, holding the k'th
+	// slot, finds the record of subgroup k-len(items) committed.
+	items []updateItem
+	// batch is the issuer's pending coalesced run; victims and stales
+	// are the committer's eviction scratch.
+	batch   []*updateItem
+	victims []int
+	stales  []int
+}
+
+func newPhaseRecs(inflight, maxRun int) phaseRecs {
+	r := phaseRecs{items: make([]updateItem, inflight), batch: make([]*updateItem, 0, maxRun)}
+	for i := range r.items {
+		r.items[i].done = make(chan struct{}, 1)
+		r.items[i].keys = make([]string, 0, maxRun)
+		r.items[i].dsts = make([][]byte, 0, maxRun)
+	}
+	return r
+}
+
+// item readies the ring record for the k'th subgroup of the phase order.
+func (r *phaseRecs) item(k, sgID int) *updateItem {
+	it := &r.items[k%len(r.items)]
+	*it = updateItem{sgID: sgID, done: it.done, keys: it.keys[:0], dsts: it.dsts[:0]}
+	return it
 }
 
 // phaseRun is the shared state of one update phase's pipeline.
@@ -120,9 +154,10 @@ func (e *Engine) updatePhase(it *metrics.Iteration) error {
 	run.ctx, run.cancel = context.WithCancel(context.Background())
 	defer run.cancel()
 
-	// window bounds items in flight (and therefore pinned subgroups);
-	// workCh never blocks the issuer because its capacity matches.
-	inflight := e.prefetchDepth + e.cfg.UpdateWorkers
+	// window bounds items in flight (and therefore pinned subgroups, and
+	// the ring records in use); workCh never blocks the issuer because
+	// its capacity matches.
+	inflight := len(e.recs.items)
 	window := make(chan struct{}, inflight)
 	workCh := make(chan *updateItem, inflight)
 	orderCh := make(chan *updateItem, m)
@@ -190,7 +225,7 @@ func (e *Engine) issueItems(run *phaseRun, order []int, window chan struct{}, wo
 		// runs would be length 1.
 		maxRun = 1
 	}
-	var batch []*updateItem
+	batch := e.recs.batch[:0]
 	var batchTier int
 	// flush submits the pending run (vectored for >= 2 members) and
 	// emits its items downstream in commit order. Always called before
@@ -207,13 +242,13 @@ func (e *Engine) issueItems(run *phaseRun, order []int, window chan struct{}, wo
 		}
 		batch = batch[:0]
 	}
-	for _, sgID := range order {
+	for k, sgID := range order {
 		if run.ctx.Err() != nil {
 			flush()
 			return
 		}
 		window <- struct{}{} // released by the committer
-		item := &updateItem{sgID: sgID, done: make(chan struct{})}
+		item := e.recs.item(k, sgID)
 		e.cacheMu.Lock()
 		// Wait out a hold: the committer still queueing this subgroup's
 		// eviction. Once it is released loc names the object's real home
@@ -272,30 +307,31 @@ func (e *Engine) issueCoalesced(run *phaseRun, batch []*updateItem, tier int) {
 		}
 		return
 	}
-	keys := make([]string, len(batch))
-	bufs := make([][]byte, len(batch))
-	dsts := make([][]byte, len(batch))
-	for i, item := range batch {
+	lead := batch[0]
+	keys, dsts := lead.keys, lead.dsts
+	for _, item := range batch {
 		e.fetchSem <- struct{}{} // the batch cap keeps this ≤ prefetchDepth
 		size := subgroup.StateBytes(e.shard.Subgroups[item.sgID].Len())
-		keys[i] = e.key(item.sgID)
-		bufs[i] = e.fetchPool.Get()
-		dsts[i] = bufs[i][:size]
+		buf := e.fetchPool.Get()
+		item.fetch = pendingFetch{stateBuf: buf, tier: tier}
+		keys = append(keys, e.key(item.sgID))
+		dsts = append(dsts, buf[:size])
 	}
 	op, err := e.aios[tier].SubmitReadVecClass(aio.Prefetch, keys, dsts)
 	if err != nil {
-		for i, item := range batch {
-			e.fetchPool.Put(bufs[i])
+		for _, item := range batch {
+			e.fetchPool.Put(item.fetch.stateBuf)
 			<-e.fetchSem
 			item.err = err
 		}
 		run.fail(err)
 		return
 	}
-	co := &coalescedFetch{op: op}
-	for i, item := range batch {
-		item.pf = &pendingFetch{stateOp: op, stateBuf: bufs[i], tier: tier, co: co}
+	for _, item := range batch {
+		item.fetch.stateOp, item.fetch.batch = op, op
+		item.pf = &item.fetch
 	}
+	lead.fetch.lead = true
 }
 
 // issueFetch submits the asynchronous state (and, on the baseline path,
@@ -317,7 +353,8 @@ func (e *Engine) issueFetch(item *updateItem, tier int) error {
 		<-e.fetchSem
 		return err
 	}
-	pf := &pendingFetch{stateOp: op, stateBuf: buf, tier: tier}
+	item.fetch = pendingFetch{stateOp: op, stateBuf: buf, tier: tier}
+	pf := &item.fetch
 	if !e.cfg.SkipGradFlush {
 		// Gradients live where backward flushed them (gradLoc).
 		gtier := e.gradLoc[sgID]
@@ -348,7 +385,7 @@ func (e *Engine) updateWorker(run *phaseRun, workCh chan *updateItem) {
 				run.fail(err)
 			}
 		}
-		close(item.done)
+		item.done <- struct{}{} // the item's last touch here: the committer owns it now
 	}
 }
 
@@ -476,13 +513,13 @@ func (e *Engine) processItem(run *phaseRun, item *updateItem) error {
 			<-e.fetchSem
 			return err
 		}
-		if co := pf.co; co != nil && pf.stateOp == co.op {
-			// Member of a coalesced vectored read (and still riding the
-			// batch op — a corrupt-retry in awaitRead would have replaced
-			// it with a private single read): exactly one member shows the
-			// estimator the whole transfer — the device made one pass.
-			co.obs.Do(func() { e.observe(pf.tier, pf.stateOp) })
-		} else {
+		if pf.lead && pf.batch.Err() == nil {
+			// The lead of a coalesced run shows the estimator the whole
+			// batch transfer; every member waited it, so it is done.
+			e.observe(pf.tier, pf.batch)
+		}
+		if pf.stateOp != pf.batch {
+			// A plain fetch, or a member's private corrupt-retry read.
 			e.observe(pf.tier, pf.stateOp)
 		}
 		if pf.gradOp != nil {
@@ -594,14 +631,15 @@ func (e *Engine) commitItems(run *phaseRun, it *metrics.Iteration, window chan s
 			e.staleTier[item.sgID] = item.pf.tier
 		}
 		e.lru.Unpin(item.sgID)
-		victims := e.lru.TouchEvict(item.sgID)
-		stales := make([]int, len(victims))
-		for i, v := range victims {
+		victims := e.lru.TouchEvict(e.recs.victims[:0], item.sgID)
+		stales := e.recs.stales[:0]
+		for _, v := range victims {
 			e.held[v] = true
 			e.loc[v] = e.plan.TierFor(v)
-			stales[i] = e.staleTier[v]
+			stales = append(stales, e.staleTier[v])
 			e.staleTier[v] = -1
 		}
+		e.recs.victims, e.recs.stales = victims, stales
 		e.cacheMu.Unlock()
 		for i, v := range victims {
 			if err := e.flushEvicted(v, stales[i]); err != nil {
@@ -647,7 +685,11 @@ func (e *Engine) flushEvicted(v int, stale int) error {
 			return err
 		}
 	}
-	op, err := e.aios[tier].SubmitWriteClass(aio.Flush, e.key(v), buf[:n])
+	done := &e.done[tier].evictCopied
+	if aliased {
+		done = &e.done[tier].evictAdopted
+	}
+	op, err := e.aios[tier].SubmitWriteThen(aio.Flush, e.key(v), buf[:n], done)
 	if err != nil {
 		// The phase fails and the in-memory update is lost either way;
 		// drop the state so an adopted backing buffer returns to the
@@ -668,22 +710,8 @@ func (e *Engine) flushEvicted(v int, stale int) error {
 		e.migStats.bytes += int64(n)
 		e.migStats.mu.Unlock()
 	}
-	putBuf := func() {
-		if aliased {
-			e.fetchPool.Put(buf)
-		} else {
-			e.flushPool.Put(buf)
-		}
-	}
-	e.flushWG.Add(1)
-	go func() {
-		defer e.flushWG.Done()
-		// A failed write surfaces via pendingFlush at the phase barrier.
-		if op.Wait() == nil {
-			e.observe(tier, op)
-		}
-		putBuf()
-	}()
+	// done returns the buffer when the write lands; a failed write
+	// surfaces via pendingFlush at the phase barrier.
 	e.mu.Lock()
 	e.pendingFlush = append(e.pendingFlush, op)
 	e.mu.Unlock()

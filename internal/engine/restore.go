@@ -129,7 +129,7 @@ func (e *Engine) Restore(ctx context.Context, r *checkpoint.Reader, m checkpoint
 	}
 	// The restore's traffic, its stale-key deletes included, is in no
 	// iteration.
-	e.flushWG.Wait()
+	e.idleIO()
 	e.foldIO(new(metrics.Iteration))
 	return nil
 }
@@ -176,7 +176,7 @@ func (e *Engine) restoreSubgroup(ctx context.Context, r *checkpoint.Reader, ent 
 		fp16.EncodeOn(e.kern, e.params16[off:off+int64(sg.Len())], sg.State.Params)
 		e.loc[sgID] = locHost
 		e.reclaimLiveKey(sgID, locHost)
-		for _, v := range e.lru.TouchEvict(sgID) {
+		for _, v := range e.lru.TouchEvict(nil, sgID) {
 			if err := e.flushSync(v, e.shard.Subgroups[v]); err != nil {
 				return nil, fmt.Errorf("engine: restore eviction flush of subgroup %d: %w", v, err)
 			}

@@ -86,7 +86,7 @@ func (l *LRU) Pinned(sg int) bool {
 // evicted and returned with true. With capacity 0 nothing is ever retained
 // and Touch reports sg itself as evicted.
 func (l *LRU) Touch(sg int) (evicted int, didEvict bool) {
-	ev := l.TouchEvict(sg)
+	ev := l.TouchEvict(nil, sg)
 	if len(ev) == 0 {
 		return 0, false
 	}
@@ -95,21 +95,22 @@ func (l *LRU) Touch(sg int) (evicted int, didEvict bool) {
 
 // TouchEvict marks sg as most recently used, inserting it if absent, then
 // evicts least-recently-used unpinned members while the set exceeds
-// capacity. It returns every victim (usually zero or one; more after a
-// period where all members were pinned). With capacity 0 nothing is ever
-// retained and sg itself is the victim.
-func (l *LRU) TouchEvict(sg int) []int {
+// capacity. It appends every victim to dst (usually zero or one; more
+// after a period where all members were pinned) and returns the result,
+// so a caller passing its own scratch[:0] allocates nothing. With
+// capacity 0 nothing is ever retained and sg itself is the victim.
+func (l *LRU) TouchEvict(dst []int, sg int) []int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.capacity == 0 {
-		return []int{sg}
+		return append(dst, sg)
 	}
 	if l.member[sg] {
 		l.remove(sg)
 	}
 	l.order = append(l.order, sg)
 	l.member[sg] = true
-	var out []int
+	out := dst
 	for len(l.order) > l.capacity {
 		victim, ok := l.victim()
 		if !ok {

@@ -96,7 +96,7 @@ func TestLRUPinShieldsFromEviction(t *testing.T) {
 	l.Touch(1)
 	l.Touch(2)
 	l.Pin(1) // LRU member, but pinned
-	ev := l.TouchEvict(3)
+	ev := l.TouchEvict(nil, 3)
 	if len(ev) != 1 || ev[0] != 2 {
 		t.Fatalf("evicted %v, want [2] (pinned 1 must survive)", ev)
 	}
@@ -118,12 +118,12 @@ func TestLRUPinOverflowDrains(t *testing.T) {
 	l.Pin(1)
 	l.Pin(2)
 	// 1 and 2 pinned: the unpinned newcomer bounces straight back out.
-	if ev := l.TouchEvict(3); len(ev) != 1 || ev[0] != 3 {
+	if ev := l.TouchEvict(nil, 3); len(ev) != 1 || ev[0] != 3 {
 		t.Fatalf("evicted %v, want [3] (memory budget beats recency)", ev)
 	}
 	// Pinned newcomer: nothing evictable, set overflows.
 	l.Pin(4)
-	if ev := l.TouchEvict(4); len(ev) != 0 {
+	if ev := l.TouchEvict(nil, 4); len(ev) != 0 {
 		t.Fatalf("evicted %v, want none (every member pinned)", ev)
 	}
 	if l.Len() != 3 {
@@ -132,7 +132,7 @@ func TestLRUPinOverflowDrains(t *testing.T) {
 	l.Unpin(1)
 	l.Unpin(2)
 	l.Unpin(4)
-	ev := l.TouchEvict(5)
+	ev := l.TouchEvict(nil, 5)
 	if len(ev) != 2 || ev[0] != 1 || ev[1] != 2 {
 		t.Fatalf("evicted %v, want [1 2] (overflow drains oldest-first)", ev)
 	}
@@ -152,7 +152,7 @@ func TestLRUPinCounts(t *testing.T) {
 		t.Fatal("pin count dropped too early")
 	}
 	// 8 is unpinned and over budget: it is evicted, 7 survives.
-	if ev := l.TouchEvict(8); len(ev) != 1 || ev[0] != 8 {
+	if ev := l.TouchEvict(nil, 8); len(ev) != 1 || ev[0] != 8 {
 		t.Fatalf("evicted %v, want [8] (pinned 7 must survive)", ev)
 	}
 	if !l.Contains(7) {
@@ -177,7 +177,7 @@ func TestLRUUnpinUnpinnedPanics(t *testing.T) {
 // retained and the touched subgroup itself is the victim.
 func TestLRUTouchEvictCapacityZero(t *testing.T) {
 	l := NewLRU(0)
-	if ev := l.TouchEvict(5); len(ev) != 1 || ev[0] != 5 {
+	if ev := l.TouchEvict(nil, 5); len(ev) != 1 || ev[0] != 5 {
 		t.Fatalf("evicted %v, want [5]", ev)
 	}
 	if l.Len() != 0 {
@@ -198,7 +198,7 @@ func TestLRUConcurrentPinTouch(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				sg := (g*200 + i) % 16
 				l.Pin(sg)
-				l.TouchEvict(sg)
+				l.TouchEvict(nil, sg)
 				l.Contains(sg)
 				l.Unpin(sg)
 			}

@@ -67,6 +67,42 @@ func TestReadAtFullRetriesShortReadsAndEINTR(t *testing.T) {
 	}
 }
 
+// WriteAt is ReadAt's mirror: at most chunk bytes into data per call,
+// after the scripted interrupts.
+func (r *flakyReaderAt) WriteAt(p []byte, off int64) (int, error) {
+	r.calls++
+	if len(r.interrupts) > 0 {
+		err := r.interrupts[0]
+		r.interrupts = r.interrupts[1:]
+		return 0, err
+	}
+	return copy(r.data[off:], p[:min(len(p), r.chunk)]), nil
+}
+
+func TestWriteAtFullRetriesShortWritesAndEINTR(t *testing.T) {
+	src := make([]byte, 10000)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	w := &flakyReaderAt{
+		data:       make([]byte, len(src)),
+		chunk:      777,
+		interrupts: []error{syscall.EINTR, &os.PathError{Op: "write", Err: syscall.EINTR}},
+	}
+	if n, err := writeAtFull(w, src, 0); err != nil || n != len(src) {
+		t.Fatalf("writeAtFull = (%d, %v), want (%d, nil)", n, err, len(src))
+	}
+	if !bytes.Equal(w.data, src) {
+		t.Fatal("reassembled bytes differ from source")
+	}
+	// A writer that accepts nothing and reports nothing fails instead of
+	// spinning.
+	stuck := &flakyReaderAt{data: make([]byte, 8)}
+	if _, err := writeAtFull(stuck, src[:8], 0); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("zero-progress write: err = %v, want io.ErrShortWrite", err)
+	}
+}
+
 func TestReadAtFullSurfacesTruncation(t *testing.T) {
 	r := &flakyReaderAt{data: make([]byte, 100), chunk: 100}
 	dst := make([]byte, 200)

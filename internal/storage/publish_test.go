@@ -172,6 +172,9 @@ func TestFileTierLeavesNoTempFiles(t *testing.T) {
 	})
 }
 
+// cpathOf is s as the NUL-terminated path the primitives take.
+func cpathOf(s string) cpath { return append(cpath(s), 0) }
+
 // TestExchangeSwapsEntries pins the primitive: both names survive with
 // their contents swapped, and a missing entry reports fs.ErrNotExist,
 // which Write takes as a first write.
@@ -184,7 +187,7 @@ func TestExchangeSwapsEntries(t *testing.T) {
 	if err := os.WriteFile(b, []byte("B"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := exchange(a, b)
+	err := exchange(cpathOf(a), cpathOf(b))
 	if errors.Is(err, errNoExchange) {
 		t.Skip("no rename exchange on this platform")
 	}
@@ -197,7 +200,7 @@ func TestExchangeSwapsEntries(t *testing.T) {
 			t.Errorf("%s = %q, %v; want %q", filepath.Base(path), got, err, want)
 		}
 	}
-	if err := exchange(a, filepath.Join(dir, "missing")); !errors.Is(err, fs.ErrNotExist) {
+	if err := exchange(cpathOf(a), cpathOf(filepath.Join(dir, "missing"))); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("exchange with a missing entry: err = %v, want ErrNotExist", err)
 	}
 	// Where the primitive works, Write keeps using it: a first write's

@@ -15,9 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand/v2"
 	"os"
-	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -330,12 +331,32 @@ func (m *MemTier) Stats() Stats { return m.snapshot() }
 // offload directories. Every read opens the object's file, reads it
 // whole and closes it; every write publishes a fresh file by rename. It
 // holds no descriptors between operations.
+//
+// On Linux the per-object operations allocate nothing: each builds its
+// NUL-terminated path in a stack buffer and issues, on a raw descriptor,
+//
+//	Read, ReadVec member, ReadObject  openat, fstat, pread…, close
+//	Write                             openat(O_CREAT|O_EXCL), pwrite…,
+//	                                  close, renameat2(RENAME_EXCHANGE)
+//	                                  and unlinkat of the replaced inode
+//	                                  (renameat2 without flags for a
+//	                                  first write)
+//	Delete                            unlinkat
+//
+// where pread and pwrite repeat on a short transfer or EINTR. Size,
+// Keys and Copy are cold paths and go through the os package.
 type FileTier struct {
 	name string
 	dir  string
 	// noExchange is set once the exchange publish is refused; Write
 	// then publishes by rename only.
 	noExchange atomic.Bool
+	// tmpPrefix, drawn at random once per tier, and tmpSeq name Write's
+	// temp files, so writers in different processes sharing the
+	// directory draw distinct names; a name taken anyway (EEXIST) is
+	// skipped for the next.
+	tmpPrefix uint64
+	tmpSeq    atomic.Uint64
 	statsCell
 }
 
@@ -344,7 +365,7 @@ func NewFileTier(name, dir string) (*FileTier, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", dir, err)
 	}
-	return &FileTier{name: name, dir: dir}, nil
+	return &FileTier{name: name, dir: dir, tmpPrefix: rand.Uint64()}, nil
 }
 
 // Close is a no-op, since the tier keeps no descriptors open. It exists
@@ -357,10 +378,55 @@ func (f *FileTier) Name() string { return f.name }
 // Dir returns the backing directory.
 func (f *FileTier) Dir() string { return f.dir }
 
+// cpath is a NUL-terminated file path, the form the kernel takes.
+type cpath []byte
+
+func (p cpath) String() string { return string(p[:len(p)-1]) }
+
+// pathBuf sizes the stack buffers the per-op paths are built in; a
+// longer path spills to the heap and still works.
+const pathBuf = 512
+
+// errKeyNUL rejects a key no file name can hold.
+var errKeyNUL = errors.New("storage: key contains a NUL byte")
+
+// appendPath appends dir/key to buf, with path separators in key escaped
+// (keys are flat).
+func (f *FileTier) appendPath(buf []byte, key string) []byte {
+	buf = append(buf, f.dir...)
+	buf = append(buf, os.PathSeparator)
+	for i := 0; i < len(key); i++ {
+		c := key[i]
+		if c == os.PathSeparator {
+			c = '_'
+		}
+		buf = append(buf, c)
+	}
+	return buf
+}
+
+// objPath builds key's object path in buf.
+func (f *FileTier) objPath(buf []byte, key string) (cpath, error) {
+	if strings.IndexByte(key, 0) >= 0 {
+		return nil, errKeyNUL
+	}
+	return append(f.appendPath(buf, key), 0), nil
+}
+
+// path returns key's object path for the os package's cold paths.
 func (f *FileTier) path(key string) string {
-	// Keys are flat; escape path separators defensively.
-	safe := strings.ReplaceAll(key, string(os.PathSeparator), "_")
-	return filepath.Join(f.dir, safe)
+	var buf [pathBuf]byte
+	return string(f.appendPath(buf[:0], key))
+}
+
+// tmpPath builds the seq'th temp name for key in buf. It ends in .tmp,
+// so Keys never lists it.
+func (f *FileTier) tmpPath(buf []byte, key string, seq uint64) cpath {
+	buf = append(f.appendPath(buf, key), '.')
+	buf = strconv.AppendUint(buf, f.tmpPrefix, 16)
+	buf = append(buf, '-')
+	buf = strconv.AppendUint(buf, seq, 10)
+	return append(buf, ".tmp\x00"...)
 }
 
 // openObject opens key's object and returns the file with its size.
@@ -368,20 +434,21 @@ func (f *FileTier) path(key string) string {
 // by publishing a fresh inode, so the size and every later read
 // describe the same complete object even if a concurrent Write
 // publishes a new one. The caller closes the file.
-func (f *FileTier) openObject(key string) (*os.File, int64, error) {
-	fh, err := os.Open(f.path(key))
+func (f *FileTier) openObject(key string) (rawFile, int64, error) {
+	var buf [pathBuf]byte
+	var fh rawFile
+	p, err := f.objPath(buf[:0], key)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, f.name, key)
+		return fh, 0, err
+	}
+	fh, size, err := openObject(p)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return fh, 0, fmt.Errorf("%w: %s/%s", ErrNotFound, f.name, key)
 		}
-		return nil, 0, err
+		return fh, 0, fmt.Errorf("storage: open %s: %w", p.String(), err)
 	}
-	st, err := fh.Stat()
-	if err != nil {
-		fh.Close()
-		return nil, 0, err
-	}
-	return fh, st.Size(), nil
+	return fh, size, nil
 }
 
 // readInto fills dst with key's object. An object larger than dst is
@@ -457,13 +524,15 @@ func (f *FileTier) ReadObject(ctx context.Context, key string) ([]byte, error) {
 	return data, nil
 }
 
-// Write implements Tier. The object goes to a uniquely named temp file
-// in the tier's directory, which is then published under the key: a
-// crashed flush must not leave a torn subgroup object, and concurrent
-// writers of one key must each publish a complete object (a shared temp
-// path would let one writer rename another's half-written file into
-// place). Readers see the old object or the new one at every instant,
-// never a missing key.
+// Write implements Tier. The object goes to a temp file in the tier's
+// directory, named uniquely for this tier instance and write and created
+// exclusively, which is then published under the key: a crashed flush
+// must not leave a torn subgroup object, and concurrent writers of one
+// key — in this process or another sharing the directory — must each
+// publish a complete object (a shared temp path would let one writer
+// rename another's half-written file into place). Readers see the old
+// object or the new one at every instant, never a missing key. The
+// published file has mode 0644 less the process umask.
 //
 // Over an existing key the temp file is published by exchanging the two
 // names (Linux renameat2 with RENAME_EXCHANGE), after which the temp
@@ -486,31 +555,48 @@ func (f *FileTier) Write(ctx context.Context, key string, src []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p := f.path(key)
-	tmp, err := os.CreateTemp(f.dir, filepath.Base(p)+".*.tmp")
+	var pbuf, tbuf [pathBuf]byte
+	p, err := f.objPath(pbuf[:0], key)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(src); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	tmp, fh, err := f.createTemp(tbuf[:0], key)
+	if err != nil {
 		return err
 	}
-	if err := tmp.Chmod(0o644); err != nil { // CreateTemp defaults to 0600
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if _, err := writeAtFull(fh, src, 0); err != nil {
+		fh.Close()
+		unlink(tmp)
+		return fmt.Errorf("storage: write %s: %w", tmp.String(), err)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err := fh.Close(); err != nil {
+		unlink(tmp)
+		return fmt.Errorf("storage: close %s: %w", tmp.String(), err)
 	}
-	if err := f.publish(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err := f.publish(tmp, p); err != nil {
+		unlink(tmp)
+		return fmt.Errorf("storage: publish %s: %w", p.String(), err)
 	}
 	f.addWrite(int64(len(src)))
 	return nil
+}
+
+// maxTempTries bounds createTemp's walk past names that already exist.
+const maxTempTries = 100
+
+// createTemp creates a fresh temp file for key, built in buf, skipping
+// names some other writer (or a crashed one) left behind.
+func (f *FileTier) createTemp(buf []byte, key string) (cpath, rawFile, error) {
+	for try := 1; ; try++ {
+		tmp := f.tmpPath(buf, key, f.tmpSeq.Add(1))
+		fh, err := createExcl(tmp)
+		if err == nil {
+			return tmp, fh, nil
+		}
+		if !errors.Is(err, fs.ErrExist) || try == maxTempTries {
+			return nil, fh, fmt.Errorf("storage: create %s: %w", tmp.String(), err)
+		}
+	}
 }
 
 // errNoExchange reports that this kernel, filesystem or OS cannot swap
@@ -519,13 +605,13 @@ var errNoExchange = errors.New("storage: rename exchange unsupported")
 
 // publish makes the finished temp file tmp the object at p: by exchange
 // over an existing object, by rename otherwise (see Write).
-func (f *FileTier) publish(tmp, p string) error {
+func (f *FileTier) publish(tmp, p cpath) error {
 	if !f.noExchange.Load() {
 		switch err := exchange(tmp, p); {
 		case err == nil:
 			// tmp now names the replaced object's inode; a failed
 			// unlink only leaves it behind (see Write).
-			os.Remove(tmp)
+			unlink(tmp)
 			return nil
 		case errors.Is(err, errNoExchange):
 			f.noExchange.Store(true)
@@ -533,7 +619,7 @@ func (f *FileTier) publish(tmp, p string) error {
 			return err
 		}
 	}
-	return os.Rename(tmp, p)
+	return rename(tmp, p)
 }
 
 // Copy implements Copier with a hard link: the destination shares the
@@ -572,8 +658,13 @@ func (f *FileTier) Delete(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := os.Remove(f.path(key)); err != nil && !os.IsNotExist(err) {
+	var buf [pathBuf]byte
+	p, err := f.objPath(buf[:0], key)
+	if err != nil {
 		return err
+	}
+	if err := unlink(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("storage: delete %s: %w", p.String(), err)
 	}
 	return nil
 }

@@ -428,7 +428,10 @@ func TestNewFileTierBadPath(t *testing.T) {
 // TestTiersConcurrencyContract exercises every Tier implementation from
 // many goroutines — distinct keys, plus same-key read/write atomicity —
 // under -race this verifies the concurrency contract documented on Tier
-// that the parallel update pipeline relies on.
+// that the parallel update pipeline relies on. The shared-dir case runs
+// the workers over two FileTiers on one directory, as ranks in separate
+// processes share a tier directory, with a leftover file planted at the
+// next temp name each writer will draw.
 func TestTiersConcurrencyContract(t *testing.T) {
 	mk := []struct {
 		name string
@@ -447,61 +450,99 @@ func TestTiersConcurrencyContract(t *testing.T) {
 		})},
 		{"fault", &FaultTier{Tier: NewMemTier("f")}}, // fault disabled: plumbing only
 	}
-	const n = 64
 	for _, tc := range mk {
 		t.Run(tc.name, func(t *testing.T) {
-			ctx := context.Background()
-			// Seed the shared key so every read finds a complete object.
-			shared := bytes.Repeat([]byte{0xAA}, n)
-			if err := tc.tier.Write(ctx, "shared", shared); err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for w := 0; w < 6; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					own := fmt.Sprintf("own-%d", w)
-					payload := bytes.Repeat([]byte{byte(w + 1)}, n)
-					for i := 0; i < 25; i++ {
-						if err := tc.tier.Write(ctx, own, payload); err != nil {
-							t.Error(err)
-							return
-						}
-						got := make([]byte, n)
-						if err := tc.tier.Read(ctx, own, got); err != nil {
-							t.Error(err)
-							return
-						}
-						if got[0] != byte(w+1) || got[n-1] != byte(w+1) {
-							t.Errorf("%s: cross-key contamination", own)
-							return
-						}
-						// Same-key concurrency: each writer stores a
-						// uniform payload; a torn read would mix values.
-						fill := bytes.Repeat([]byte{byte(w + 1)}, n)
-						if err := tc.tier.Write(ctx, "shared", fill); err != nil {
-							t.Error(err)
-							return
-						}
-						if err := tc.tier.Read(ctx, "shared", got); err != nil {
-							t.Error(err)
-							return
-						}
-						for j := 1; j < n; j++ {
-							if got[j] != got[0] {
-								t.Errorf("torn read on shared key: %v", got[:8])
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if _, err := tc.tier.Keys(ctx); err != nil {
-				t.Fatal(err)
-			}
+			hammerTiers(t, tc.tier)
 		})
+	}
+	t.Run("shared-dir", func(t *testing.T) {
+		dir := t.TempDir()
+		var tiers []Tier
+		var leftovers []string
+		for i := 0; i < 2; i++ {
+			ft, err := NewFileTier("file", dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tiers = append(tiers, ft)
+			next := ft.tmpPath(nil, "shared", ft.tmpSeq.Load()+1).String()
+			if err := os.WriteFile(next, []byte("leftover"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			leftovers = append(leftovers, next)
+		}
+		hammerTiers(t, tiers...)
+		for _, p := range leftovers {
+			if got, err := os.ReadFile(p); err != nil || string(got) != "leftover" {
+				t.Errorf("leftover %s = %q, %v: a writer took a name it did not create", filepath.Base(p), got, err)
+			}
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tmps := len(ents) - 7; tmps != len(leftovers) { // 7 keys: shared, own-0..5
+			t.Errorf("%d temp files left, want only the %d planted", tmps, len(leftovers))
+		}
+	})
+}
+
+// hammerTiers runs six workers over tiers, worker w on tiers[w%len]: each
+// writes and reads back its own key, and all of them write and read one
+// shared key, which must never read torn.
+func hammerTiers(t *testing.T, tiers ...Tier) {
+	const n = 64
+	ctx := context.Background()
+	// Seed the shared key so every read finds a complete object.
+	shared := bytes.Repeat([]byte{0xAA}, n)
+	if err := tiers[0].Write(ctx, "shared", shared); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tier := tiers[w%len(tiers)]
+			own := fmt.Sprintf("own-%d", w)
+			payload := bytes.Repeat([]byte{byte(w + 1)}, n)
+			for i := 0; i < 25; i++ {
+				if err := tier.Write(ctx, own, payload); err != nil {
+					t.Error(err)
+					return
+				}
+				got := make([]byte, n)
+				if err := tier.Read(ctx, own, got); err != nil {
+					t.Error(err)
+					return
+				}
+				if got[0] != byte(w+1) || got[n-1] != byte(w+1) {
+					t.Errorf("%s: cross-key contamination", own)
+					return
+				}
+				// Same-key concurrency: each writer stores a
+				// uniform payload; a torn read would mix values.
+				fill := bytes.Repeat([]byte{byte(w + 1)}, n)
+				if err := tier.Write(ctx, "shared", fill); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tier.Read(ctx, "shared", got); err != nil {
+					t.Error(err)
+					return
+				}
+				for j := 1; j < n; j++ {
+					if got[j] != got[0] {
+						t.Errorf("torn read on shared key: %v", got[:8])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if _, err := tiers[0].Keys(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -30,10 +30,15 @@ type WireCount struct {
 // Bytes returns the recorded wire size (0 when nothing was recorded).
 func (w *WireCount) Bytes() int64 { return w.n.Load() }
 
+// Reset clears the cell for the next operation, so a caller running
+// operations one after another can reuse one cell and its context.
+func (w *WireCount) Reset() { w.n.Store(0) }
+
 type wireCountKey struct{}
 
 // WithWireCount derives a context carrying a fresh wire-byte cell for
-// one operation. Nesting a fresh cell shadows any outer one, which is
+// one operation at a time: the aio engine gives each worker one cell
+// and Resets it before every operation. Nesting a fresh cell shadows any outer one, which is
 // how stacked codec layers propagate the *deepest* measurement outward:
 // each layer runs its inner operation under a private cell, resolves
 // the device-level count from it (falling back to the bytes it moved

@@ -61,6 +61,9 @@ type Subgroup struct {
 	// to its pool only after the state has been flushed back or
 	// discarded; other packages must treat the field as opaque.
 	Backing []byte
+	// mapped is the State MapState points State at, reused by every
+	// adoption so that one allocates nothing.
+	mapped optim.State
 }
 
 // New creates a subgroup with n zero-initialized parameters.
@@ -258,11 +261,12 @@ func (s *Subgroup) MapState(src []byte) (aliased bool, err error) {
 	if !ok {
 		return false, nil
 	}
-	s.State = &optim.State{
+	s.mapped = optim.State{
 		Params: v[0:n:n],
 		M:      v[n : 2*n : 2*n],
 		V:      v[2*n : 3*n : 3*n],
 	}
+	s.State = &s.mapped
 	return true, nil
 }
 

@@ -47,10 +47,17 @@ func NewManagerOn(exclusive bool, clk clock.Clock) *Manager {
 // Exclusive reports whether the manager enforces exclusive access.
 func (m *Manager) Exclusive() bool { return !m.disabled }
 
+// fifoLock is one tier's lock. A queued Acquire waits on a ticket, a
+// channel of capacity 1 the releasing holder sends the grant into;
+// tickets are recycled through free, so neither a grant nor a queued
+// wait allocates once the lock has seen its peak queue.
 type fifoLock struct {
 	mu      sync.Mutex
 	held    bool
-	waiters []chan struct{}
+	waiters []chan struct{} // FIFO
+	free    []chan struct{}
+	// release is every grant's Release, built once.
+	release Release
 	// stats
 	grants    int64
 	waitTotal time.Duration
@@ -62,13 +69,18 @@ func (m *Manager) lock(tier string) *fifoLock {
 	l, ok := m.locks[tier]
 	if !ok {
 		l = &fifoLock{}
+		l.release = l.unlock
 		m.locks[tier] = l
 	}
 	return l
 }
 
-// Release is returned by Acquire and must be called exactly once; extra
-// calls are no-ops.
+// Release is returned by Acquire and must be called exactly once per
+// grant. Calling it while the lock is free is a no-op; calling it again
+// after the lock passed to another holder releases that holder's grant,
+// so a caller must not keep a Release past its one call. (Every grant of
+// a lock shares one Release, which is what keeps a grant from
+// allocating.)
 type Release func()
 
 var noop Release = func() {}
@@ -88,9 +100,9 @@ func (m *Manager) Acquire(ctx context.Context, tier string) (Release, error) {
 		l.held = true
 		l.grants++
 		l.mu.Unlock()
-		return m.releaser(l), nil
+		return l.release, nil
 	}
-	ticket := make(chan struct{})
+	ticket := l.ticket()
 	l.waiters = append(l.waiters, ticket)
 	l.mu.Unlock()
 
@@ -99,8 +111,9 @@ func (m *Manager) Acquire(ctx context.Context, tier string) (Release, error) {
 		l.mu.Lock()
 		l.grants++
 		l.waitTotal += m.clk.Since(start)
+		l.free = append(l.free, ticket)
 		l.mu.Unlock()
-		return m.releaser(l), nil
+		return l.release, nil
 	case <-ctx.Done():
 		// Withdraw from the queue; if the ticket fired concurrently, pass
 		// the grant along instead of leaking it.
@@ -108,15 +121,29 @@ func (m *Manager) Acquire(ctx context.Context, tier string) (Release, error) {
 		for i, w := range l.waiters {
 			if w == ticket {
 				l.waiters = append(l.waiters[:i], l.waiters[i+1:]...)
+				l.free = append(l.free, ticket)
 				l.mu.Unlock()
 				return nil, ctx.Err()
 			}
 		}
-		// Ticket already granted: we hold the lock; release it properly.
+		// Ticket already granted (sent under mu, so it is in the buffer):
+		// we hold the lock; take the grant and release it properly.
+		<-ticket
+		l.free = append(l.free, ticket)
 		l.mu.Unlock()
-		m.releaser(l)()
+		l.unlock()
 		return nil, ctx.Err()
 	}
+}
+
+// ticket returns a recycled ticket, or a new one. Caller holds mu.
+func (l *fifoLock) ticket() chan struct{} {
+	if n := len(l.free); n > 0 {
+		t := l.free[n-1]
+		l.free = l.free[:n-1]
+		return t
+	}
+	return make(chan struct{}, 1)
 }
 
 // TryAcquire obtains the lock only if it is immediately free.
@@ -132,24 +159,27 @@ func (m *Manager) TryAcquire(tier string) (Release, bool) {
 	}
 	l.held = true
 	l.grants++
-	return m.releaser(l), true
+	return l.release, true
 }
 
-func (m *Manager) releaser(l *fifoLock) Release {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			l.mu.Lock()
-			defer l.mu.Unlock()
-			if len(l.waiters) > 0 {
-				next := l.waiters[0]
-				l.waiters = l.waiters[1:]
-				close(next) // hand over while held stays true
-				return
-			}
-			l.held = false
-		})
+// unlock hands the lock to the longest waiter — held stays true — or
+// frees it; on a free lock it does nothing. The waiter queue shifts in
+// place, keeping its backing array.
+func (l *fifoLock) unlock() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.held {
+		return
 	}
+	if n := len(l.waiters); n > 0 {
+		next := l.waiters[0]
+		copy(l.waiters, l.waiters[1:])
+		l.waiters[n-1] = nil
+		l.waiters = l.waiters[:n-1]
+		next <- struct{}{} // capacity 1 and one grant per ticket: never blocks
+		return
+	}
+	l.held = false
 }
 
 // Stats describes one tier lock's contention.

@@ -7,7 +7,8 @@
 //     leaked in-flight writes PR 1 fixed and the un-waited error-path
 //     submissions PR 2 fixed.
 //  2. Submissions must carry an explicit priority Class
-//     (SubmitReadClass/SubmitWriteClass/SubmitDelete), never the
+//     (SubmitReadClass/SubmitWriteClass/SubmitDelete, and the
+//     SubmitWriteThen/SubmitDeleteThen forms that name a completer), never the
 //     classless SubmitRead/SubmitWrite wrappers: the multi-level
 //     scheduler is only as good as the classes call sites declare.
 //  3. A discarded Wait error (`_ = op.Wait()`) must be annotated with
@@ -38,7 +39,7 @@ discarded Wait error hides I/O failures.`,
 // aioSuffix identifies the aio package (real tree and fixtures).
 const aioSuffix = "internal/aio"
 
-var classed = map[string]bool{"SubmitReadClass": true, "SubmitWriteClass": true, "SubmitDelete": true, "SubmitReadVecClass": true}
+var classed = map[string]bool{"SubmitReadClass": true, "SubmitWriteClass": true, "SubmitWriteThen": true, "SubmitDelete": true, "SubmitDeleteThen": true, "SubmitReadVecClass": true}
 var classless = map[string]bool{"SubmitRead": true, "SubmitWrite": true}
 var waiters = map[string]bool{"Wait": true, "WaitCtx": true}
 

@@ -15,6 +15,14 @@ func blankOp(e *aio.Engine, buf []byte) error {
 	return err
 }
 
+// droppedThen: a completer does not excuse a dropped op; the call site
+// must say why nothing waits for it.
+func droppedThen(e *aio.Engine, buf []byte) error {
+	e.SubmitWriteThen(aio.Flush, "k", buf, nil)       // want `result of SubmitWriteThen dropped`
+	_, err := e.SubmitDeleteThen(aio.Flush, "k", nil) // want `\*aio\.Op from SubmitDeleteThen assigned to _`
+	return err
+}
+
 // classless bypasses the priority scheduler.
 func classless(e *aio.Engine, buf []byte) error {
 	op, err := e.SubmitRead("k", buf) // want `implicit-class submission SubmitRead`

@@ -24,5 +24,9 @@ func (e *Engine) SubmitReadVecClass(c Class, keys []string, dsts [][]byte) (*Op,
 }
 func (e *Engine) SubmitWriteClass(c Class, key string, src []byte) (*Op, error) { return nil, nil }
 func (e *Engine) SubmitDelete(c Class, key string) (*Op, error)                 { return nil, nil }
-func (e *Engine) SubmitRead(key string, dst []byte) (*Op, error)                { return nil, nil }
-func (e *Engine) SubmitWrite(key string, src []byte) (*Op, error)               { return nil, nil }
+func (e *Engine) SubmitWriteThen(c Class, key string, src []byte, then any) (*Op, error) {
+	return nil, nil
+}
+func (e *Engine) SubmitDeleteThen(c Class, key string, then any) (*Op, error) { return nil, nil }
+func (e *Engine) SubmitRead(key string, dst []byte) (*Op, error)              { return nil, nil }
+func (e *Engine) SubmitWrite(key string, src []byte) (*Op, error)             { return nil, nil }
